@@ -7,7 +7,6 @@
 // BENCH_simcore.json so future PRs have a trajectory to gate against.
 //
 //   bench_micro [--json PATH] [--repeats K] [--quick] [--only NAME]
-//   bench_micro --gbench [google-benchmark args]   (legacy microbench suite)
 //
 // The unlock-world bench also computes a trace digest per repeat and the
 // harness reports `deterministic: false` (and exits non-zero) if repeats
@@ -20,22 +19,16 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <benchmark/benchmark.h>
-
-#include "can/crc.hpp"
-#include "can/wire_codec.hpp"
-#include "dbc/target_vehicle_db.hpp"
 #include "fuzzer/campaign.hpp"
 #include "fuzzer/generator.hpp"
-#include "fuzzer/mutator.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/candump_log.hpp"
 #include "trace/capture.hpp"
 #include "transport/virtual_bus_transport.hpp"
+#include "util/fnv.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace {
@@ -117,15 +110,6 @@ BenchResult run_bench(const std::string& name, const std::string& unit, int repe
     }
   }
   return result;
-}
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
 }
 
 // ---------------------------------------------------------------------------
@@ -223,10 +207,9 @@ RepeatOutcome bench_unlock_world(sim::Duration horizon) {
     config.record_suspicious = false;
     fuzzer::FuzzCampaign campaign(scheduler, attacker, generator, nullptr, config);
     campaign.run();
-    std::uint64_t digest = 0xCBF29CE484222325ULL;
+    std::uint64_t digest = util::kFnv1aOffset;
     for (const trace::TimestampedFrame& entry : tap.frames()) {
-      const std::string line = trace::to_candump_line(entry);
-      digest = fnv1a(digest, line.data(), line.size());
+      digest = util::fnv1a(digest, trace::to_candump_line(entry));
     }
     outcome.digest = digest;
   }
@@ -312,101 +295,15 @@ std::string to_json(const std::vector<BenchResult>& results) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Legacy google-benchmark microbenches (run with --gbench).
-
-void BM_WireEncode(benchmark::State& state) {
-  const auto frame = can::CanFrame::data_std(0x215, {0x20, 0x5F, 1, 0, 0, 1, 0x20});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(can::encode_wire(frame));
-  }
-}
-BENCHMARK(BM_WireEncode);
-
-void BM_WireDecode(benchmark::State& state) {
-  const auto wire = can::encode_wire(can::CanFrame::data_std(0x215, {0x20, 0x5F, 1, 0, 0, 1, 0x20}));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(can::decode_wire(wire));
-  }
-}
-BENCHMARK(BM_WireDecode);
-
-void BM_Crc15(benchmark::State& state) {
-  std::vector<std::uint8_t> bits(98, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = (i * 7 % 3) == 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(can::crc15_bits(bits));
-  }
-}
-BENCHMARK(BM_Crc15);
-
-void BM_FrameTimeComputation(benchmark::State& state) {
-  const auto frame = can::CanFrame::data_std(0x123, {1, 2, 3, 4, 5, 6, 7, 8});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(can::frame_time(frame));
-  }
-}
-BENCHMARK(BM_FrameTimeComputation);
-
-void BM_RandomGenerator(benchmark::State& state) {
-  fuzzer::RandomGenerator generator(fuzzer::FuzzConfig::full_random());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.next());
-  }
-}
-BENCHMARK(BM_RandomGenerator);
-
-void BM_MutationGenerator(benchmark::State& state) {
-  std::vector<can::CanFrame> corpus;
-  for (std::uint32_t id = 0x100; id < 0x140; ++id) {
-    corpus.push_back(can::CanFrame::data_std(id, {1, 2, 3, 4, 5, 6, 7, 8}));
-  }
-  fuzzer::MutationGenerator generator(corpus);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.next());
-  }
-}
-BENCHMARK(BM_MutationGenerator);
-
-void BM_SignalEncodeDecode(benchmark::State& state) {
-  const dbc::Database db = dbc::target_vehicle_database();
-  const dbc::MessageDef* engine = db.by_id(dbc::kMsgEngineData);
-  for (auto _ : state) {
-    const auto frame = engine->encode({{"EngineRPM", 2400.0}, {"ThrottlePct", 40.0}});
-    benchmark::DoNotOptimize(engine->decode(*frame));
-  }
-}
-BENCHMARK(BM_SignalEncodeDecode);
-
-void BM_BusDelivery(benchmark::State& state) {
-  sim::Scheduler scheduler;
-  can::VirtualBus bus(scheduler);
-  transport::VirtualBusTransport tx(bus, "tx");
-  transport::VirtualBusTransport rx1(bus, "rx1");
-  transport::VirtualBusTransport rx2(bus, "rx2");
-  transport::VirtualBusTransport rx3(bus, "rx3");
-  const auto frame = can::CanFrame::data_std(0x100, {1, 2, 3, 4});
-  for (auto _ : state) {
-    tx.send(frame);
-    scheduler.run_for(std::chrono::milliseconds(1));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BusDelivery);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool gbench = false;
   std::string json_path = "BENCH_simcore.json";
   std::string only;
   int repeats = 5;
   bool quick = false;
-  std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--gbench") == 0) {
-      gbench = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
       repeats = std::max(1, std::atoi(argv[++i]));
@@ -416,16 +313,9 @@ int main(int argc, char** argv) {
       quick = true;
       repeats = std::min(repeats, 3);
     } else {
-      passthrough.push_back(argv[i]);
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return 2;
     }
-  }
-
-  if (gbench) {
-    int pass_argc = static_cast<int>(passthrough.size());
-    benchmark::Initialize(&pass_argc, passthrough.data());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
   }
 
   const std::size_t sched_events = quick ? 100'000 : 400'000;

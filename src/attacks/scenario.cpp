@@ -27,11 +27,6 @@ AttackBus observed_bus(const AttackSpec& spec) noexcept {
 
 namespace {
 
-const dbc::Database& target_db() {
-  static const dbc::Database db = dbc::target_vehicle_database();
-  return db;
-}
-
 /// The forged frame a spec describes: its payload bytes when given, else
 /// zeros at the id's DBC-declared DLC (8 for undeclared ids).
 std::optional<can::CanFrame> forged_frame(const AttackSpec& spec) {
@@ -39,7 +34,7 @@ std::optional<can::CanFrame> forged_frame(const AttackSpec& spec) {
   if (spec.payload_len > 0) {
     payload.assign(spec.payload.begin(), spec.payload.begin() + spec.payload_len);
   } else {
-    const dbc::MessageDef* def = target_db().by_id(spec.target_id);
+    const dbc::MessageDef* def = dbc::target_vehicle_database().by_id(spec.target_id);
     payload.assign(def ? def->dlc : 8, 0x00);
   }
   return can::CanFrame::data(spec.target_id, payload);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -31,6 +32,15 @@ struct MessageDef {
   /// cannot drift apart.
   bool dlc_matches(const can::CanFrame& frame) const noexcept;
 
+  /// Encodes one physical value per signal, in declaration order, into a
+  /// frame built on the stack.  This is the ECU models' frame path: no
+  /// lookup by name, no allocation.  Returns nullopt if the value count
+  /// differs from the signal count or a signal does not fit the DLC.
+  std::optional<can::CanFrame> encode(std::initializer_list<double> values) const noexcept;
+
+  /// Name-keyed forms for tooling (tests, examples, trace replay); frame
+  /// paths use the overload above and dbc::decode(const SignalDef&, ...).
+  ///
   /// Encodes a set of physical values into a frame.  Signals not present in
   /// `values` encode as raw zero.  Returns nullopt if any named signal is
   /// unknown or does not fit the DLC.

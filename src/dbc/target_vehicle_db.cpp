@@ -1,5 +1,7 @@
 #include "dbc/target_vehicle_db.hpp"
 
+#include <stdexcept>
+
 #include "dbc/parser.hpp"
 
 namespace acf::dbc {
@@ -23,9 +25,7 @@ SignalDef sig(std::string name, std::uint16_t start, std::uint16_t length, doubl
   return s;
 }
 
-}  // namespace
-
-Database target_vehicle_database() {
+Database build_target_vehicle_database() {
   Database db;
 
   {
@@ -160,10 +160,30 @@ Database target_vehicle_database() {
   return db;
 }
 
+}  // namespace
+
+const Database& target_vehicle_database() {
+  // Built once, on first use; C++ guarantees the initialisation is
+  // thread-safe, so concurrent fleet workers all see this one instance.
+  static const Database db = build_target_vehicle_database();
+  return db;
+}
+
+const MessageDef& target_message(std::uint32_t id) {
+  const MessageDef* message = target_vehicle_database().by_id(id);
+  if (message == nullptr) throw std::out_of_range("no target-vehicle message with that id");
+  return *message;
+}
+
+const SignalDef& target_signal(std::uint32_t message_id, std::string_view name) {
+  const SignalDef* signal = target_message(message_id).signal(name);
+  if (signal == nullptr) throw std::out_of_range("no target-vehicle signal with that name");
+  return *signal;
+}
+
 std::string target_vehicle_dbc_text() {
-  const Database db = target_vehicle_database();
   const std::string nodes[] = {"ECM", "ABS", "BCM", "IVI", "CLUSTER", "GATEWAY"};
-  return to_dbc_text(db, nodes);
+  return to_dbc_text(target_vehicle_database(), nodes);
 }
 
 }  // namespace acf::dbc

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "dbc/database.hpp"
 
@@ -38,8 +40,16 @@ inline constexpr std::uint32_t kUdsBcmResponse = 0x748;
 inline constexpr std::uint8_t kCmdLock = 0x10;
 inline constexpr std::uint8_t kCmdUnlock = 0x20;
 
-/// Builds the target vehicle's database (fresh copy).
-Database target_vehicle_database();
+/// The target vehicle's database: one immutable instance, built on first
+/// use and shared by every ECU model, detector and scenario.  Callers that
+/// need a mutable database copy it.
+const Database& target_vehicle_database();
+
+/// Handles into the shared database, resolved once by the ECU models so
+/// their frame paths never look anything up by name.  Throw
+/// std::out_of_range when the message or signal is not defined.
+const MessageDef& target_message(std::uint32_t id);
+const SignalDef& target_signal(std::uint32_t message_id, std::string_view name);
 
 /// The same database as DBC text (exercises the parser; examples load it).
 std::string target_vehicle_dbc_text();

@@ -2,22 +2,9 @@
 
 #include <bit>
 
+#include "util/fnv.hpp"
+
 namespace acf::feedback {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-constexpr std::uint64_t fnv1a_u64(std::uint64_t hash, std::uint64_t value) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFF;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-}  // namespace
 
 std::uint8_t count_bucket(std::uint64_t count) noexcept {
   if (count <= 3) return static_cast<std::uint8_t>(count == 0 ? 0 : count - 1);
@@ -29,13 +16,9 @@ std::uint8_t count_bucket(std::uint64_t count) noexcept {
 }
 
 Feature make_feature(Domain domain, std::uint64_t key, std::uint64_t count) noexcept {
-  std::uint64_t hash = kFnvOffset;
-  hash ^= static_cast<std::uint64_t>(domain);
-  hash *= kFnvPrime;
-  hash = fnv1a_u64(hash, key);
-  hash ^= count_bucket(count);
-  hash *= kFnvPrime;
-  return hash;
+  std::uint64_t hash = util::fnv1a(util::kFnv1aOffset, static_cast<std::uint8_t>(domain));
+  hash = util::fnv1a_u64(hash, key);
+  return util::fnv1a(hash, count_bucket(count));
 }
 
 NoveltyMap::NoveltyMap(std::size_t cells) {

@@ -131,6 +131,22 @@ void Coordinator::flush(Connection& conn) {
   if (conn.closing) conn.dead = true;
 }
 
+// Reads everything the socket holds into conn.reader and reports whether
+// the peer hung up (EOF or a socket error).  Callers parse the buffered
+// frames before dropping a hung-up connection: a worker's final full-totals
+// heartbeat often arrives in the same segment as its FIN, and POLLHUP can
+// be flagged while those bytes are still unread.  A poisoned reader stops
+// the read; callers check reader.poisoned().
+bool Coordinator::read_pending(Connection& conn) {
+  std::uint8_t chunk[kReadChunk];
+  for (;;) {
+    const auto result = util::socket_read(conn.fd.get(), chunk);
+    if (result.status == util::IoStatus::kWouldBlock) return false;
+    if (result.status != util::IoStatus::kOk) return true;
+    if (!conn.reader.feed(std::span<const std::uint8_t>(chunk, result.bytes))) return false;
+  }
+}
+
 void Coordinator::drop(Connection& conn, bool count_disconnect) {
   if (conn.dead) return;
   conn.dead = true;
@@ -356,26 +372,9 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
 
     for (auto& [slot, conn] : polled) {
       const util::PollEntry& entry = poll.entry(slot);
-      if (entry.error) {
-        drop(*conn, /*count_disconnect=*/conn->handshaken);
-        continue;
-      }
-      if (entry.writable) flush(*conn);
-      if (conn->dead || !entry.readable) continue;
-      std::uint8_t chunk[kReadChunk];
-      while (!conn->dead) {
-        const auto result = util::socket_read(conn->fd.get(), chunk);
-        if (result.status == util::IoStatus::kOk) {
-          if (!conn->reader.feed(std::span<const std::uint8_t>(chunk, result.bytes))) {
-            ++stats_.protocol_errors;
-            drop(*conn, /*count_disconnect=*/conn->handshaken);
-          }
-          continue;
-        }
-        if (result.status == util::IoStatus::kWouldBlock) break;
-        // Orderly close or hard error: either way the worker is gone.
-        drop(*conn, /*count_disconnect=*/conn->handshaken);
-      }
+      if (entry.writable && !entry.error) flush(*conn);
+      if (conn->dead || !(entry.readable || entry.error)) continue;
+      const bool hung_up = read_pending(*conn) || entry.error;
       while (!conn->dead && !conn->closing) {
         std::optional<std::vector<std::uint8_t>> payload = conn->reader.next();
         if (!payload) {
@@ -387,6 +386,8 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
         }
         handle_payload(*conn, *payload);
       }
+      // Orderly close or hard error: either way the worker is gone.
+      if (hung_up) drop(*conn, /*count_disconnect=*/conn->handshaken);
     }
 
     const auto now = WallClock::now();
@@ -465,35 +466,19 @@ std::vector<TrialOutcome> Coordinator::serve(ProgressReporter* progress) {
     }
     for (auto& [slot, conn] : draining) {
       const util::PollEntry& entry = poll.entry(slot);
-      if (entry.error) {
-        conn->dead = true;
-        continue;
-      }
-      if (entry.writable) flush(*conn);
-      if (conn->dead || !entry.readable) continue;
-      std::uint8_t chunk[kReadChunk];
-      while (!conn->dead) {
-        const auto result = util::socket_read(conn->fd.get(), chunk);
-        if (result.status == util::IoStatus::kOk) {
-          // Keep framing so the worker's final heartbeat parses; poisoned
-          // framing just ends the drain for this socket.
-          if (!conn->reader.feed(std::span<const std::uint8_t>(chunk, result.bytes))) {
-            conn->dead = true;
-          }
-          continue;
-        }
-        if (result.status == util::IoStatus::kWouldBlock) break;
-        conn->dead = true;  // EOF: the worker saw the Shutdown and hung up
-      }
-      while (!conn->dead) {
-        std::optional<std::vector<std::uint8_t>> payload = conn->reader.next();
-        if (!payload) break;
+      if (entry.writable && !entry.error) flush(*conn);
+      if (conn->dead || !(entry.readable || entry.error)) continue;
+      // EOF means the worker saw the Shutdown and hung up.
+      const bool hung_up = read_pending(*conn) || entry.error;
+      while (std::optional<std::vector<std::uint8_t>> payload = conn->reader.next()) {
         std::optional<Message> message = decode(*payload);
         if (!message) continue;
         if (const auto* heartbeat = std::get_if<HeartbeatMsg>(&*message)) {
           note_worker_metrics(*conn, *heartbeat);
         }
       }
+      // Poisoned framing just ends the drain for this socket.
+      if (hung_up || conn->reader.poisoned()) conn->dead = true;
     }
   }
   connections_.clear();

@@ -137,6 +137,7 @@ class Coordinator {
   void pump_pending_grants();
   void send_message(Connection& conn, const Message& message);
   void flush(Connection& conn);
+  bool read_pending(Connection& conn);
   void drop(Connection& conn, bool count_disconnect);
   void note_worker_metrics(const Connection& conn, const HeartbeatMsg& heartbeat);
   void write_snapshot_line();

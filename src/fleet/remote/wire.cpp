@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/fnv.hpp"
+
 namespace acf::fleet::remote {
 
 namespace {
@@ -362,9 +364,11 @@ std::optional<Message> decode(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> frame_message(const Message& message) {
   const std::vector<std::uint8_t> payload = encode(message);
-  ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::uint8_t> out = w.take();
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  // Header and payload land in one buffer sized up front.
+  std::vector<std::uint8_t> out;
+  out.reserve(4 + payload.size());
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(length >> (8 * i)));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -423,18 +427,12 @@ std::optional<std::vector<std::uint8_t>> FrameReader::next() {
 // ------------------------------------------------------- fingerprint ------
 
 std::uint64_t campaign_fingerprint(const TrialPlan& plan, std::string_view world_tag) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint8_t byte) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
+  std::uint64_t hash = util::kFnv1aOffset;
+  const auto mix_bytes = [&hash](std::string_view text) {
+    // The NUL separator keeps ("ab","c") from colliding with ("a","bc").
+    hash = util::fnv1a(util::fnv1a(hash, text), std::uint8_t{0});
   };
-  const auto mix_bytes = [&mix](std::string_view text) {
-    for (const char c : text) mix(static_cast<std::uint8_t>(c));
-    mix(0);  // separator: ("ab","c") must not collide with ("a","bc")
-  };
-  const auto mix_u64 = [&mix](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
+  const auto mix_u64 = [&hash](std::uint64_t v) { hash = util::fnv1a_u64(hash, v); };
   mix_bytes(world_tag);
   for (const std::string& arm : plan.arms()) mix_bytes(arm);
   mix_u64(plan.replicas());

@@ -31,6 +31,7 @@
 #include "trace/replay.hpp"
 #include "transport/transport.hpp"
 #include "uds/uds_server.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace acf::selftest {
@@ -42,15 +43,6 @@ using Verdict = std::optional<std::string>;
 
 std::string_view as_text(Bytes bytes) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
-}
-
-std::uint64_t fnv1a(Bytes bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 bool doubles_equal(double a, double b) {
@@ -137,7 +129,7 @@ can::CanFrame random_frame(util::Rng& rng) {
 }
 
 Verdict run_checkpoint_roundtrip(Bytes input) {
-  util::Rng rng(fnv1a(input) ^ 0xC0FFEEULL);
+  util::Rng rng(util::fnv1a(util::kFnv1aOffset, as_text(input)) ^ 0xC0FFEEULL);
   fuzzer::CampaignCheckpoint original;
   original.frames_sent = rng.next_u64();
   original.send_failures = rng.next_u64();
@@ -668,7 +660,7 @@ fr::Message random_message(Bytes input, util::Rng& rng) {
 
 Verdict run_fleet_wire(Bytes input) {
   if (input.empty()) return std::nullopt;
-  util::Rng rng(fnv1a(input) ^ 0xF1EE7ULL);
+  util::Rng rng(util::fnv1a(util::kFnv1aOffset, as_text(input)) ^ 0xF1EE7ULL);
   const std::uint8_t mode = input[0];
   const Bytes rest = input.subspan(1);
 
@@ -765,7 +757,7 @@ Verdict run_fleet_wire(Bytes input) {
 
 Verdict run_metrics_snapshot(Bytes input) {
   if (input.empty()) return std::nullopt;
-  util::Rng rng(fnv1a(input) ^ 0x5EEDF00DULL);
+  util::Rng rng(util::fnv1a(util::kFnv1aOffset, as_text(input)) ^ 0x5EEDF00DULL);
   const std::uint8_t mode = input[0];
   const Bytes rest = input.subspan(1);
 
@@ -877,7 +869,7 @@ Verdict run_corpus_file(Bytes input) {
   }
 
   // Structured mode: synthesise, round-trip, then attack the canonical bytes.
-  util::Rng rng(fnv1a(input) ^ 0xC0B9A5ULL);
+  util::Rng rng(util::fnv1a(util::kFnv1aOffset, as_text(input)) ^ 0xC0B9A5ULL);
   feedback::Corpus corpus;
   const auto seeds = rng.next_below(6);
   for (std::uint64_t i = 0; i < seeds; ++i) {

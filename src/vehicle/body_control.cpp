@@ -20,19 +20,18 @@ BodyControlModule::BodyControlModule(sim::Scheduler& scheduler, can::VirtualBus&
                                  'W', '0', '0', '0', '0', '1', '7'});
   uds_server()->set_did(0xF195, {'2', '.', '0', '.', '9'});
 
+  // Values in each message's signal declaration order (target_vehicle_db).
   add_periodic(std::chrono::milliseconds(100), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgDoorStatus);
-    return def->encode({{"LockState", unlocked_ ? 1.0 : 0.0},
-                        {"DriverDoorOpen", 0.0},
-                        {"PassengerDoorOpen", 0.0},
-                        {"InteriorLight", unlocked_ ? 1.0 : 0.0}});
+    return door_status_.encode({/*LockState*/ unlocked_ ? 1.0 : 0.0,
+                                /*DriverDoorOpen*/ 0.0,
+                                /*PassengerDoorOpen*/ 0.0,
+                                /*InteriorLight*/ unlocked_ ? 1.0 : 0.0});
   });
   add_periodic(std::chrono::milliseconds(100), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgClusterDisplay);
-    return def->encode({{"DisplayMode", 0.0},
-                        {"DisplayArg", 0.0},
-                        {"OdometerKm", odometer_km_},
-                        {"TripKm", 104.2}});
+    return cluster_display_.encode({/*DisplayMode*/ 0.0,
+                                    /*DisplayArg*/ 0.0,
+                                    /*OdometerKm*/ odometer_km_,
+                                    /*TripKm*/ 104.2});
   });
 }
 
@@ -42,7 +41,7 @@ void BodyControlModule::on_power_on() {
 
 bool BodyControlModule::matches(const can::CanFrame& frame, std::uint8_t command) const {
   const auto payload = frame.payload();
-  if (predicate_.check_length && !db_.by_id(dbc::kMsgBodyCommand)->dlc_matches(frame)) {
+  if (predicate_.check_length && !body_command_.dlc_matches(frame)) {
     return false;
   }
   const std::size_t checked = std::min<std::size_t>(predicate_.bytes_checked,
@@ -67,9 +66,8 @@ void BodyControlModule::actuate(bool unlocked, std::uint8_t command) {
 }
 
 void BodyControlModule::send_ack(std::uint8_t command, bool ok) {
-  const auto* def = db_.by_id(dbc::kMsgBodyAck);
-  if (const auto frame = def->encode({{"AckCommand", static_cast<double>(command)},
-                                      {"AckResult", ok ? 1.0 : 0.0}})) {
+  if (const auto frame = body_ack_.encode({/*AckCommand*/ static_cast<double>(command),
+                                           /*AckResult*/ ok ? 1.0 : 0.0})) {
     send(*frame);
   }
 }

@@ -76,7 +76,11 @@ class BodyControlModule final : public ecu::Ecu {
   bool matches(const can::CanFrame& frame, std::uint8_t command) const;
   void send_ack(std::uint8_t command, bool ok);
 
-  dbc::Database db_ = dbc::target_vehicle_database();
+  // Handles into the shared target-vehicle database.
+  const dbc::MessageDef& body_command_ = dbc::target_message(dbc::kMsgBodyCommand);
+  const dbc::MessageDef& body_ack_ = dbc::target_message(dbc::kMsgBodyAck);
+  const dbc::MessageDef& door_status_ = dbc::target_message(dbc::kMsgDoorStatus);
+  const dbc::MessageDef& cluster_display_ = dbc::target_message(dbc::kMsgClusterDisplay);
   UnlockPredicate predicate_;
   bool unlocked_ = false;
   double odometer_km_ = 18'204.0;

@@ -53,44 +53,40 @@ EngineEcu::EngineEcu(sim::Scheduler& scheduler, can::VirtualBus& bus,
       scheduler, [this](const can::CanFrame& frame) { return send(frame); },
       dbc::kUdsEngineRequest, std::move(source));
 
+  // Values in each message's signal declaration order (target_vehicle_db).
   add_periodic(kControlPeriod, [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgEngineData);
-    return def->encode({{"EngineRPM", rpm_},
-                        {"ThrottlePct", throttle_pct_},
-                        {"CoolantTempC", coolant_c_},
-                        {"EngineRunning", 1.0},
-                        {"FuelRate", 50.0 + rpm_ * 0.3}});
+    return engine_data_.encode({/*EngineRPM*/ rpm_,
+                                /*ThrottlePct*/ throttle_pct_,
+                                /*CoolantTempC*/ coolant_c_,
+                                /*EngineRunning*/ 1.0,
+                                /*FuelRate*/ 50.0 + rpm_ * 0.3});
   });
   add_periodic(std::chrono::milliseconds(20), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgVehicleSpeed);
     const double gear = speed_kph_ < 1 ? 0 : std::clamp(speed_kph_ / 20.0 + 1.0, 1.0, 6.0);
-    return def->encode({{"SpeedKph", speed_kph_},
-                        {"AccelPct", throttle_pct_},
-                        {"BrakeActive", throttle_pct_ < 2.0 && speed_kph_ > 1.0 ? 1.0 : 0.0},
-                        {"GearPosition", std::floor(gear)},
-                        {"SpeedValid", 1.0},
-                        {"CruiseEngaged", 0.0}});
+    return vehicle_speed_.encode({/*SpeedKph*/ speed_kph_,
+                                  /*AccelPct*/ throttle_pct_,
+                                  /*BrakeActive*/ throttle_pct_ < 2.0 && speed_kph_ > 1.0 ? 1.0 : 0.0,
+                                  /*GearPosition*/ std::floor(gear),
+                                  /*SpeedValid*/ 1.0,
+                                  /*CruiseEngaged*/ 0.0});
   });
   add_periodic(std::chrono::milliseconds(100), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgPowertrainStatus);
-    return def->encode({{"OilTempC", coolant_c_ * 0.9},
-                        {"OilPressureKpa", 180.0 + rpm_ * 0.05},
-                        {"IntakeTempC", 23.0},
-                        {"BatteryVolts", 14.1},
-                        {"FuelLevelPct", fuel_pct_},
-                        {"AmbientTempC", 17.0},
-                        {"Reserved", 65535.0}});
+    return powertrain_status_.encode({/*OilTempC*/ coolant_c_ * 0.9,
+                                      /*OilPressureKpa*/ 180.0 + rpm_ * 0.05,
+                                      /*IntakeTempC*/ 23.0,
+                                      /*BatteryVolts*/ 14.1,
+                                      /*FuelLevelPct*/ fuel_pct_,
+                                      /*AmbientTempC*/ 17.0,
+                                      /*Reserved*/ 65535.0});
   });
   add_periodic(std::chrono::milliseconds(100), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgTelltales);
-    const bool mil = dtcs().mil_requested();
-    return def->encode({{"MilOn", mil ? 1.0 : 0.0},
-                        {"OilWarning", 0.0},
-                        {"BatteryWarning", 0.0},
-                        {"CoolantWarning", coolant_c_ > 115.0 ? 1.0 : 0.0},
-                        {"AbsWarning", 0.0},
-                        {"AirbagWarning", 0.0},
-                        {"DtcCount", static_cast<double>(dtcs().count())}});
+    return telltales_.encode({/*MilOn*/ dtcs().mil_requested() ? 1.0 : 0.0,
+                              /*OilWarning*/ 0.0,
+                              /*BatteryWarning*/ 0.0,
+                              /*CoolantWarning*/ coolant_c_ > 115.0 ? 1.0 : 0.0,
+                              /*AbsWarning*/ 0.0,
+                              /*AirbagWarning*/ 0.0,
+                              /*DtcCount*/ static_cast<double>(dtcs().count())});
   });
 }
 
@@ -148,12 +144,10 @@ void EngineEcu::control_tick() {
 void EngineEcu::handle_frame(const can::CanFrame& frame, sim::SimTime time) {
   if (obd_) obd_->handle_frame(frame, time);
   if (frame.id() != dbc::kMsgWheelSpeeds || frame.is_remote()) return;
-  const auto* def = db_.by_id(dbc::kMsgWheelSpeeds);
-  const auto values = def->decode(frame);
-  const auto fl = values.find("WheelFL");
-  const auto fr = values.find("WheelFR");
-  if (fl == values.end() || fr == values.end()) return;
-  const double avg = (fl->second + fr->second) / 2.0;
+  const auto fl = dbc::decode(wheel_fl_, frame.payload());
+  const auto fr = dbc::decode(wheel_fr_, frame.payload());
+  if (!fl || !fr) return;
+  const double avg = (*fl + *fr) / 2.0;
 
   // Plausibility: wheel speed must roughly agree with our own road speed.
   const double discrepancy = std::fabs(avg - speed_kph_);

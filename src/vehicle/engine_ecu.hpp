@@ -68,7 +68,13 @@ class EngineEcu final : public ecu::Ecu {
   double last_rpm_ = 800.0;
   std::uint64_t implausible_inputs_ = 0;
 
-  dbc::Database db_ = dbc::target_vehicle_database();
+  // Handles into the shared target-vehicle database.
+  const dbc::MessageDef& engine_data_ = dbc::target_message(dbc::kMsgEngineData);
+  const dbc::MessageDef& vehicle_speed_ = dbc::target_message(dbc::kMsgVehicleSpeed);
+  const dbc::MessageDef& powertrain_status_ = dbc::target_message(dbc::kMsgPowertrainStatus);
+  const dbc::MessageDef& telltales_ = dbc::target_message(dbc::kMsgTelltales);
+  const dbc::SignalDef& wheel_fl_ = dbc::target_signal(dbc::kMsgWheelSpeeds, "WheelFL");
+  const dbc::SignalDef& wheel_fr_ = dbc::target_signal(dbc::kMsgWheelSpeeds, "WheelFR");
   std::unique_ptr<obd::ObdServer> obd_;
 };
 

@@ -36,7 +36,6 @@ class HeadUnit final : public ecu::Ecu {
   void handle_frame(const can::CanFrame& frame, sim::SimTime time) override;
   bool send_command(std::uint8_t command);
 
-  dbc::Database db_ = dbc::target_vehicle_database();
   std::uint8_t sequence_ = 0;
   std::uint64_t acks_seen_ = 0;
   std::uint8_t last_acked_command_ = 0;

@@ -90,55 +90,42 @@ void InstrumentCluster::handle_frame(const can::CanFrame& frame, sim::SimTime ti
   if (frame.is_remote()) return;
   if (xcp_) xcp_->handle_frame(frame, time);
 
+  const auto payload = frame.payload();
   switch (frame.id()) {
     case dbc::kMsgEngineData: {
-      const auto* def = db_.by_id(dbc::kMsgEngineData);
-      const auto values = def->decode(frame);
-      if (const auto it = values.find("EngineRPM"); it != values.end()) {
+      if (const auto rpm = dbc::decode(rpm_signal_, payload)) {
         // No plausibility gate: a negative or absurd RPM is displayed as-is.
-        set_gauge(rpm_gauge_, it->second);
-        if (!def->signal("EngineRPM")->in_declared_range(it->second)) {
-          note_implausible("EngineRPM");
-        }
+        set_gauge(rpm_gauge_, *rpm);
+        if (!rpm_signal_.in_declared_range(*rpm)) note_implausible("EngineRPM");
       }
-      if (const auto it = values.find("CoolantTempC"); it != values.end()) {
-        set_gauge(coolant_gauge_, it->second);
+      if (const auto coolant = dbc::decode(coolant_signal_, payload)) {
+        set_gauge(coolant_gauge_, *coolant);
       }
       break;
     }
     case dbc::kMsgVehicleSpeed: {
-      const auto* def = db_.by_id(dbc::kMsgVehicleSpeed);
-      const auto values = def->decode(frame);
-      if (const auto it = values.find("SpeedKph"); it != values.end()) {
-        set_gauge(speed_gauge_, it->second);
-        if (!def->signal("SpeedKph")->in_declared_range(it->second)) {
-          note_implausible("SpeedKph");
-        }
+      if (const auto speed = dbc::decode(speed_signal_, payload)) {
+        set_gauge(speed_gauge_, *speed);
+        if (!speed_signal_.in_declared_range(*speed)) note_implausible("SpeedKph");
       }
       break;
     }
     case dbc::kMsgPowertrainStatus: {
-      const auto* def = db_.by_id(dbc::kMsgPowertrainStatus);
-      const auto values = def->decode(frame);
-      if (const auto it = values.find("FuelLevelPct"); it != values.end()) {
-        set_gauge(fuel_gauge_, it->second);
-      }
+      if (const auto fuel = dbc::decode(fuel_signal_, payload)) set_gauge(fuel_gauge_, *fuel);
       break;
     }
     case dbc::kMsgTelltales: {
-      const auto* def = db_.by_id(dbc::kMsgTelltales);
-      const auto values = def->decode(frame);
-      auto bit = [&values](const char* signal_name) {
-        const auto it = values.find(signal_name);
-        return it != values.end() && it->second >= 0.5;
+      auto bit = [payload](const dbc::SignalDef& signal) {
+        const auto value = dbc::decode(signal, payload);
+        return value && *value >= 0.5;
       };
       const bool was_warning = any_warning_lit();
-      mil_on_ = bit("MilOn") || mil_on_;
-      oil_warning_ = bit("OilWarning");
-      battery_warning_ = bit("BatteryWarning");
-      coolant_warning_ = bit("CoolantWarning");
-      abs_warning_ = bit("AbsWarning");
-      airbag_warning_ = bit("AirbagWarning");
+      mil_on_ = bit(mil_signal_) || mil_on_;
+      oil_warning_ = bit(oil_warning_signal_);
+      battery_warning_ = bit(battery_warning_signal_);
+      coolant_warning_ = bit(coolant_warning_signal_);
+      abs_warning_ = bit(abs_warning_signal_);
+      airbag_warning_ = bit(airbag_warning_signal_);
       if (!was_warning && any_warning_lit()) ++warning_sounds_;
       break;
     }
@@ -161,11 +148,9 @@ void InstrumentCluster::handle_display_command(const can::CanFrame& frame) {
 
   if (mode < 0x06) {
     // Normal display modes: odometer / trip / text pages.
-    const auto* def = db_.by_id(dbc::kMsgClusterDisplay);
-    const auto values = def->decode(frame);
-    if (const auto it = values.find("OdometerKm"); it != values.end()) {
+    if (const auto odometer = dbc::decode(odometer_signal_, payload)) {
       char buf[16];
-      std::snprintf(buf, sizeof buf, "%.0f", it->second);
+      std::snprintf(buf, sizeof buf, "%.0f", *odometer);
       display_text_ = buf;
     }
     return;

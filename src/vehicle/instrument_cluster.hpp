@@ -70,7 +70,27 @@ class InstrumentCluster final : public ecu::Ecu {
   void set_gauge(double& gauge, double value);
   void note_implausible(const char* what);
 
-  dbc::Database db_ = dbc::target_vehicle_database();
+  // Handles to the signals the gauges read, in the shared target-vehicle
+  // database; each handler decodes only these.
+  const dbc::SignalDef& rpm_signal_ = dbc::target_signal(dbc::kMsgEngineData, "EngineRPM");
+  const dbc::SignalDef& coolant_signal_ =
+      dbc::target_signal(dbc::kMsgEngineData, "CoolantTempC");
+  const dbc::SignalDef& speed_signal_ = dbc::target_signal(dbc::kMsgVehicleSpeed, "SpeedKph");
+  const dbc::SignalDef& fuel_signal_ =
+      dbc::target_signal(dbc::kMsgPowertrainStatus, "FuelLevelPct");
+  const dbc::SignalDef& odometer_signal_ =
+      dbc::target_signal(dbc::kMsgClusterDisplay, "OdometerKm");
+  const dbc::SignalDef& mil_signal_ = dbc::target_signal(dbc::kMsgTelltales, "MilOn");
+  const dbc::SignalDef& oil_warning_signal_ =
+      dbc::target_signal(dbc::kMsgTelltales, "OilWarning");
+  const dbc::SignalDef& battery_warning_signal_ =
+      dbc::target_signal(dbc::kMsgTelltales, "BatteryWarning");
+  const dbc::SignalDef& coolant_warning_signal_ =
+      dbc::target_signal(dbc::kMsgTelltales, "CoolantWarning");
+  const dbc::SignalDef& abs_warning_signal_ =
+      dbc::target_signal(dbc::kMsgTelltales, "AbsWarning");
+  const dbc::SignalDef& airbag_warning_signal_ =
+      dbc::target_signal(dbc::kMsgTelltales, "AirbagWarning");
 
   double rpm_gauge_ = 0.0;
   double speed_gauge_ = 0.0;

@@ -5,13 +5,12 @@ namespace acf::vehicle {
 AbsEcu::AbsEcu(sim::Scheduler& scheduler, can::VirtualBus& bus, const EngineEcu& engine)
     : Ecu(scheduler, bus, "ABS"), engine_(engine) {
   add_periodic(std::chrono::milliseconds(20), [this]() -> std::optional<can::CanFrame> {
-    const auto* def = db_.by_id(dbc::kMsgWheelSpeeds);
     const double v = engine_.speed_kph();
     // Per-wheel deltas: slight differential offsets as in a gentle curve.
-    return def->encode({{"WheelFL", v * 1.002},
-                        {"WheelFR", v * 0.998},
-                        {"WheelRL", v * 1.001},
-                        {"WheelRR", v * 0.999}});
+    return wheel_speeds_.encode({/*WheelFL*/ v * 1.002,
+                                 /*WheelFR*/ v * 0.998,
+                                 /*WheelRL*/ v * 1.001,
+                                 /*WheelRR*/ v * 0.999});
   });
 }
 

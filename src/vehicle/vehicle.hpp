@@ -29,7 +29,7 @@ class AbsEcu final : public ecu::Ecu {
   void handle_frame(const can::CanFrame& frame, sim::SimTime time) override;
 
   const EngineEcu& engine_;
-  dbc::Database db_ = dbc::target_vehicle_database();
+  const dbc::MessageDef& wheel_speeds_ = dbc::target_message(dbc::kMsgWheelSpeeds);
 };
 
 struct VehicleConfig {

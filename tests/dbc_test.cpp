@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <stdexcept>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "dbc/database.hpp"
 #include "dbc/parser.hpp"
@@ -189,6 +194,20 @@ TEST(MessageDef, DecodeShortFrameOmitsUnfittingSignals) {
   EXPECT_FALSE(values.contains("CoolantTempC"));  // bits 24..31 do not
 }
 
+TEST(MessageDef, PositionalEncodeMatchesNamedEncode) {
+  const MessageDef& engine = target_message(kMsgEngineData);
+  const auto positional = engine.encode({2400.0, 40.0, 92.0, 1.0, 770.0});
+  const auto named = engine.encode({{"EngineRPM", 2400.0},
+                                    {"ThrottlePct", 40.0},
+                                    {"CoolantTempC", 92.0},
+                                    {"EngineRunning", 1.0},
+                                    {"FuelRate", 770.0}});
+  ASSERT_TRUE(positional.has_value());
+  ASSERT_TRUE(named.has_value());
+  EXPECT_EQ(*positional, *named);
+  EXPECT_FALSE(engine.encode({2400.0, 40.0}).has_value());  // one value per signal
+}
+
 TEST(Database, LookupByIdAndName) {
   const Database db = target_vehicle_database();
   EXPECT_NE(db.by_id(kMsgBodyCommand), nullptr);
@@ -233,6 +252,33 @@ TEST(TargetVehicleDb, BodyCommandMatchesPaperShape) {
   ASSERT_NE(cmd, nullptr);
   EXPECT_EQ(cmd->id, 0x215u);  // the paper's lock/unlock id (533 decimal)
   EXPECT_EQ(cmd->dlc, 7u);     // DLC 7 as in Fig. 13
+}
+
+TEST(TargetVehicleDb, HandlesResolveIntoTheSharedInstance) {
+  const MessageDef& engine = target_message(kMsgEngineData);
+  EXPECT_EQ(&engine, target_vehicle_database().by_id(kMsgEngineData));
+  EXPECT_EQ(&target_signal(kMsgEngineData, "EngineRPM"), engine.signal("EngineRPM"));
+  EXPECT_THROW(target_message(0x7DF), std::out_of_range);
+  EXPECT_THROW(target_signal(kMsgEngineData, "NoSuchSignal"), std::out_of_range);
+}
+
+TEST(TargetVehicleDb, ConcurrentFirstUseReturnsOneInstance) {
+  // ctest runs each test in its own process, so these threads race the
+  // database's first construction.
+  constexpr std::size_t kThreads = 8;
+  std::atomic<bool> go{false};
+  std::array<const Database*, kThreads> seen{};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&go, &seen, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      seen[i] = &target_vehicle_database();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  for (const Database* db : seen) EXPECT_EQ(db, &target_vehicle_database());
+  EXPECT_GE(target_vehicle_database().size(), 9u);
 }
 
 // ------------------------------------------------------------ parser ------

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "util/fnv.hpp"
 #include "util/hex.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
@@ -13,6 +14,17 @@
 
 namespace acf::util {
 namespace {
+
+// The hash feeds checkpoint/wire fingerprints and feedback digests, so its
+// output is pinned to the published FNV-1a 64 test vectors.
+TEST(Fnv1a, MatchesReferenceVectors) {
+  static_assert(fnv1a(kFnv1aOffset, "") == 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a(kFnv1aOffset, "a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a(kFnv1aOffset, "foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(fnv1a(kFnv1aOffset, std::uint8_t{'a'}), 0xaf63dc4c8601ec8cULL);
+  // fnv1a_u64 folds little-endian bytes.
+  EXPECT_EQ(fnv1a_u64(kFnv1aOffset, 0x0123456789abcdefULL), 0x37eb3f3347761c55ULL);
+}
 
 // ---------------------------------------------------------------- Rng -----
 
