@@ -8,16 +8,20 @@
 //
 //   bench_micro [--json PATH] [--repeats K] [--quick] [--only NAME]
 //
-// The unlock-world bench also computes a trace digest per repeat and the
-// harness reports `deterministic: false` (and exits non-zero) if repeats
-// disagree — the CI perf-smoke leg gates on crash/nondeterminism only, never
-// on wall time, so the leg cannot flake with machine load.
+// The two world benches also compute a trace digest per repeat (the unlock
+// world's bus, and both buses of the two-bus vehicle) and the harness
+// reports `deterministic: false` (and exits non-zero) if repeats disagree —
+// the CI perf-smoke leg gates on crash/nondeterminism only, never on wall
+// time, so the leg cannot flake with machine load.  The JSON records the
+// compiler, build type, flags, CPU model and git commit it was made with, so
+// numbers from different builds or hosts are never compared silently.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -233,15 +237,76 @@ RepeatOutcome bench_unlock_world(sim::Duration horizon) {
 }
 
 /// End-to-end: the full two-bus vehicle idling through its drive cycle.
+/// Also reports a digest of the first 2 s of both buses' traffic
+/// (powertrain as can0, then body as can1).
 RepeatOutcome bench_vehicle_sim(sim::Duration horizon) {
-  sim::Scheduler scheduler;
-  vehicle::Vehicle car(scheduler);
-  const auto start = Clock::now();
-  scheduler.run_for(horizon);
-  const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-  const double frames = static_cast<double>(car.powertrain_bus().stats().frames_delivered +
-                                            car.body_bus().stats().frames_delivered);
-  return {wall, frames, sim::to_seconds(horizon), 0};
+  RepeatOutcome outcome;
+  {  // Digest pass (short, with a capture tap per bus): determinism evidence.
+    sim::Scheduler scheduler;
+    vehicle::Vehicle car(scheduler);
+    trace::CaptureTap powertrain_tap(car.powertrain_bus(), "digest-pt");
+    trace::CaptureTap body_tap(car.body_bus(), "digest-body");
+    scheduler.run_for(std::chrono::seconds(2));
+    std::uint64_t digest = util::kFnv1aOffset;
+    for (const trace::TimestampedFrame& entry : powertrain_tap.frames()) {
+      digest = util::fnv1a(digest, trace::to_candump_line(entry, "can0"));
+    }
+    for (const trace::TimestampedFrame& entry : body_tap.frames()) {
+      digest = util::fnv1a(digest, trace::to_candump_line(entry, "can1"));
+    }
+    outcome.digest = digest;
+  }
+  {  // Timed pass (no taps).
+    sim::Scheduler scheduler;
+    vehicle::Vehicle car(scheduler);
+    const auto start = Clock::now();
+    scheduler.run_for(horizon);
+    outcome.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
+    outcome.items = static_cast<double>(car.powertrain_bus().stats().frames_delivered +
+                                        car.body_bus().stats().frames_delivered);
+    outcome.sim_seconds = sim::to_seconds(horizon);
+  }
+  return outcome;
+}
+
+// ---------------------------------------------------------------------------
+// Run context.
+
+std::string compiler_name() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// The source tree's commit (with `-dirty` for uncommitted changes), or
+/// "unknown" outside a git checkout.
+std::string source_commit() {
+  const std::string command =
+      "git -C \"" ACF_SOURCE_DIR "\" describe --always --dirty --abbrev=12 2>/dev/null";
+  std::string out;
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+    ::pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
 }
 
 // ---------------------------------------------------------------------------
@@ -253,8 +318,23 @@ void append_json_double(std::string& out, double value) {
   out += buf;
 }
 
+std::string json_string(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
 std::string to_json(const std::vector<BenchResult>& results) {
-  std::string out = "{\n  \"schema\": \"acf-simcore-bench-v1\",\n  \"benches\": [\n";
+  std::string out = "{\n  \"schema\": \"acf-simcore-bench-v1\",\n";
+  out += "  \"context\": {\"compiler\": " + json_string(compiler_name()) +
+         ", \"build_type\": " + json_string(ACF_BENCH_BUILD_TYPE) +
+         ", \"cxx_flags\": " + json_string(ACF_BENCH_CXX_FLAGS) +
+         ", \"cpu\": " + json_string(cpu_model()) +
+         ", \"commit\": " + json_string(source_commit()) + "},\n";
+  out += "  \"benches\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     out += "    {\"name\": \"" + r.name + "\", \"unit\": \"" + r.unit + "\"";

@@ -1,5 +1,6 @@
 #include "can/wire_codec.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "can/crc.hpp"
@@ -140,138 +141,29 @@ inline std::uint16_t crc15_step_byte(std::uint16_t crc, std::uint8_t byte) {
                                     kCrc15Byte.at[((crc >> 7) & 0xFF) ^ byte]);
 }
 
-/// Bit-stuffing automaton over bytes.  State encodes (last bit, run length):
-/// states 0..7 are last*4 + (run-1) for run 1..4 (a run of 5 is resolved
+/// Bit-stuffing automaton.  State encodes (last bit, run length): states
+/// 0..7 are last*4 + (run-1) for run 1..4 (a run of 5 is resolved
 /// immediately by inserting a stuff bit, which resets the run), state 8 is
-/// the pre-SOF "no previous bit" start state.
+/// the pre-SOF "no previous bit" start state.  `next`/`added` step a whole
+/// byte; `tail_added` finishes a stream with its last 1..7 bits, indexed by
+/// those bits behind a leading sentinel 1 ((1 << count) | bits).
 struct StuffByteTable {
   std::uint8_t next[9][256] = {};
   std::uint8_t added[9][256] = {};
+  std::uint8_t tail_added[9][256] = {};
 };
 
-consteval StuffByteTable make_stuff_byte_table() {
-  StuffByteTable table;
-  for (unsigned state = 0; state < 9; ++state) {
-    for (unsigned byte = 0; byte < 256; ++byte) {
-      std::uint8_t last = state == 8 ? 2 : static_cast<std::uint8_t>(state / 4);
-      int run = state == 8 ? 0 : static_cast<int>(state % 4) + 1;
-      unsigned stuffed = 0;
-      for (int shift = 7; shift >= 0; --shift) {
-        const std::uint8_t bit = (byte >> shift) & 1;
-        if (bit == last) {
-          ++run;
-        } else {
-          last = bit;
-          run = 1;
-        }
-        if (run == 5) {
-          ++stuffed;
-          last = static_cast<std::uint8_t>(1 - last);
-          run = 1;
-        }
-      }
-      table.next[state][byte] = static_cast<std::uint8_t>(last * 4 + (run - 1));
-      table.added[state][byte] = static_cast<std::uint8_t>(stuffed);
-    }
-  }
-  return table;
-}
-
-constexpr StuffByteTable kStuffByte = make_stuff_byte_table();
-
-/// 128-bit left-shift register built from two 64-bit words: a classic
-/// frame's whole stuffed region (SOF..CRC, at most 103 + 15 = 118 bits)
-/// fits without touching memory.
-struct PackedBits {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  std::size_t count = 0;
-
-  void append(std::uint32_t value, int width) {  // width in [1, 63]
-    hi = (hi << width) | (lo >> (64 - width));
-    lo = (lo << width) | value;
-    count += static_cast<std::size_t>(width);
-  }
-};
-
-/// Streams a PackedBits register MSB-first, a byte or a bit at a time.
-struct BitReader {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  std::size_t remaining = 0;
-
-  explicit BitReader(const PackedBits& packed) : remaining(packed.count) {
-    const std::size_t shift = 128 - packed.count;  // left-align (count >= 19)
-    if (shift >= 64) {
-      hi = shift == 64 ? packed.lo : packed.lo << (shift - 64);
-      lo = 0;
-    } else {
-      hi = (packed.hi << shift) | (packed.lo >> (64 - shift));
-      lo = packed.lo << shift;
-    }
-  }
-
-  std::uint8_t take_byte() {
-    const auto byte = static_cast<std::uint8_t>(hi >> 56);
-    hi = (hi << 8) | (lo >> 56);
-    lo <<= 8;
-    remaining -= 8;
-    return byte;
-  }
-
-  std::uint8_t take_bit() {
-    const auto bit = static_cast<std::uint8_t>(hi >> 63);
-    hi = (hi << 1) | (lo >> 63);
-    lo <<= 1;
-    --remaining;
-    return bit;
-  }
-};
-
-std::size_t classic_wire_bit_count(const CanFrame& frame) {
-  PackedBits packed;
-  packed.append(0, 1);  // SOF, dominant
-  if (!frame.is_extended()) {
-    packed.append(frame.id(), 11);
-    packed.append(frame.is_remote() ? 1u : 0u, 1);  // RTR
-    packed.append(0, 2);                            // IDE, r0
-  } else {
-    packed.append(frame.id() >> 18, 11);  // base id
-    packed.append(3, 2);                  // SRR, IDE (both recessive)
-    packed.append(frame.id() & 0x3FFFF, 18);
-    packed.append(frame.is_remote() ? 1u : 0u, 1);  // RTR
-    packed.append(0, 2);                            // r1, r0
-  }
-  packed.append(frame.dlc(), 4);
-  for (std::uint8_t byte : frame.payload()) packed.append(byte, 8);
-
-  // CRC15 over SOF..data.
-  std::uint16_t crc = 0;
-  for (BitReader reader(packed); reader.remaining != 0;) {
-    if (reader.remaining >= 8) {
-      crc = crc15_step_byte(crc, reader.take_byte());
-    } else {
-      const std::uint8_t bit = reader.take_bit();
-      const bool do_xor = (((crc & 0x4000) != 0) != (bit != 0));
-      crc = static_cast<std::uint16_t>((crc << 1) & 0x7FFF);
-      if (do_xor) crc = static_cast<std::uint16_t>(crc ^ 0x4599);
-    }
-  }
-
-  // Stuff count over SOF..data..CRC via the byte automaton.
-  packed.append(crc, 15);
-  std::size_t stuffed = 0;
+struct StuffWalk {
   std::uint8_t state = 8;
-  BitReader reader(packed);
-  while (reader.remaining >= 8) {
-    const std::uint8_t byte = reader.take_byte();
-    stuffed += kStuffByte.added[state][byte];
-    state = kStuffByte.next[state][byte];
-  }
-  std::uint8_t last = static_cast<std::uint8_t>(state / 4);
-  int run = static_cast<int>(state % 4) + 1;
-  while (reader.remaining != 0) {
-    const std::uint8_t bit = reader.take_bit();
+  std::uint8_t added = 0;
+};
+
+consteval StuffWalk stuff_walk(unsigned state, unsigned bits, int count) {
+  std::uint8_t last = state == 8 ? 2 : static_cast<std::uint8_t>(state / 4);
+  int run = state == 8 ? 0 : static_cast<int>(state % 4) + 1;
+  StuffWalk walk;
+  for (int shift = count - 1; shift >= 0; --shift) {
+    const std::uint8_t bit = (bits >> shift) & 1;
     if (bit == last) {
       ++run;
     } else {
@@ -279,13 +171,99 @@ std::size_t classic_wire_bit_count(const CanFrame& frame) {
       run = 1;
     }
     if (run == 5) {
-      ++stuffed;
+      ++walk.added;
       last = static_cast<std::uint8_t>(1 - last);
       run = 1;
     }
   }
+  walk.state = static_cast<std::uint8_t>(last * 4 + (run - 1));
+  return walk;
+}
 
-  return packed.count + stuffed + kTailBits + kInterframeSpace;
+consteval StuffByteTable make_stuff_byte_table() {
+  StuffByteTable table;
+  for (unsigned state = 0; state < 9; ++state) {
+    for (unsigned byte = 0; byte < 256; ++byte) {
+      const StuffWalk walk = stuff_walk(state, byte, 8);
+      table.next[state][byte] = walk.state;
+      table.added[state][byte] = walk.added;
+    }
+    for (int count = 1; count < 8; ++count) {
+      for (unsigned bits = 0; bits < (1u << count); ++bits) {
+        table.tail_added[state][(1u << count) | bits] = stuff_walk(state, bits, count).added;
+      }
+    }
+  }
+  return table;
+}
+
+constexpr StuffByteTable kStuffByte = make_stuff_byte_table();
+
+/// Stuff bits of a whole SOF..CRC region held MSB-first in two left-aligned
+/// words (`bits` in total, at most 128).
+std::size_t stuff_bits_in(std::uint64_t hi, std::uint64_t lo, std::size_t bits) {
+  std::size_t stuffed = 0;
+  std::uint8_t state = 8;
+  for (std::uint64_t word : {hi, lo}) {
+    std::size_t left = std::min<std::size_t>(bits, 64);
+    bits -= left;
+    for (; left >= 8; left -= 8, word <<= 8) {
+      const auto byte = static_cast<std::uint8_t>(word >> 56);
+      stuffed += kStuffByte.added[state][byte];
+      state = kStuffByte.next[state][byte];
+    }
+    if (left != 0) {
+      // Only the stream's last bits end short of a byte.
+      return stuffed + kStuffByte.tail_added[state][(1u << left) | (word >> (64 - left))];
+    }
+  }
+  return stuffed;
+}
+
+/// Classic-frame wire length straight from id, DLC and payload.  The
+/// SOF..DLC header is at most 39 bits; left-padding it with zeros to whole
+/// bytes leaves a zero-initialised CRC-15 unchanged, so the CRC runs in
+/// byte steps only.  The stuff count reads the unpadded region
+/// (header | payload | CRC, at most 118 bits) from two 64-bit words.
+std::size_t classic_wire_bit_count(const CanFrame& frame) {
+  const std::uint64_t rtr = frame.is_remote() ? 1 : 0;
+  std::uint64_t header = 0;  // SOF (dominant, 0) .. DLC, right-aligned
+  std::size_t header_bits = 0;
+  if (!frame.is_extended()) {
+    // SOF, id(11), RTR, IDE=0, r0=0, DLC(4)
+    header = (std::uint64_t{frame.id()} << 7) | (rtr << 6) | frame.dlc();
+    header_bits = 19;
+  } else {
+    // SOF, base id(11), SRR=1, IDE=1, extension(18), RTR, r1=0, r0=0, DLC(4)
+    header = (std::uint64_t{frame.id() >> 18} << 27) | (std::uint64_t{3} << 25) |
+             (std::uint64_t{frame.id() & 0x3FFFF} << 7) | (rtr << 6) | frame.dlc();
+    header_bits = 39;
+  }
+
+  std::uint16_t crc = 0;
+  for (std::size_t shift = (header_bits + 7) / 8 * 8; shift != 0;) {
+    shift -= 8;
+    crc = crc15_step_byte(crc, static_cast<std::uint8_t>(header >> shift));
+  }
+  std::uint64_t data = 0;  // payload, left-aligned
+  const auto payload = frame.payload();
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    crc = crc15_step_byte(crc, payload[i]);
+    data |= std::uint64_t{payload[i]} << (56 - 8 * i);
+  }
+
+  std::uint64_t hi = (header << (64 - header_bits)) | (data >> header_bits);
+  std::uint64_t lo = data << (64 - header_bits);
+  const std::size_t crc_at = header_bits + 8 * payload.size();
+  const std::uint64_t crc_left = std::uint64_t{crc} << 49;
+  if (crc_at < 64) {
+    hi |= crc_left >> crc_at;
+    lo |= crc_left << (64 - crc_at);
+  } else {
+    lo |= crc_left >> (crc_at - 64);
+  }
+  const std::size_t region = crc_at + 15;
+  return region + stuff_bits_in(hi, lo, region) + kTailBits + kInterframeSpace;
 }
 
 }  // namespace

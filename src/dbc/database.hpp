@@ -4,6 +4,7 @@
 // both consume it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -21,6 +22,8 @@ class Database {
   /// Adds a message definition; replaces any existing one with the same id.
   void add(MessageDef message);
 
+  /// Standard ids (below 2048) resolve through a flat table, one load per
+  /// frame; other ids through a hash map.
   const MessageDef* by_id(std::uint32_t id) const noexcept;
   const MessageDef* by_name(std::string_view name) const noexcept;
 
@@ -31,8 +34,14 @@ class Database {
   std::vector<std::uint32_t> ids() const;
 
  private:
+  static constexpr std::uint32_t kStandardIds = 2048;
+
+  std::optional<std::size_t> index_of(std::uint32_t id) const noexcept;
+
   std::vector<MessageDef> messages_;
-  std::unordered_map<std::uint32_t, std::size_t> by_id_;
+  /// Message index + 1 per standard id; 0 means no message.
+  std::array<std::uint32_t, kStandardIds> standard_slot_{};
+  std::unordered_map<std::uint32_t, std::size_t> other_index_;
 };
 
 }  // namespace acf::dbc

@@ -7,41 +7,44 @@ namespace acf::dbc {
 
 namespace {
 
-/// Successive bit positions of a signal in payload order.  Little-endian
-/// walks upward from start_bit (LSB first); big-endian starts at the MSB and
-/// walks down within each byte, then to bit 7 of the next byte.
-/// Returns byte*8+bit "absolute" positions, LSB-first for LE and MSB-first
-/// for BE.
-struct BitWalker {
-  const SignalDef& sig;
+std::uint64_t low_mask(unsigned bits) noexcept {
+  return bits >= 64 ? ~0ULL : (1ULL << bits) - 1;
+}
 
-  /// Absolute bit position (byte*8 + bit_in_byte, bit_in_byte LSB=0) of the
-  /// i-th signal bit, where i=0 is the raw LSB for LE and the raw MSB for BE.
-  std::size_t position(std::uint16_t i) const noexcept {
+/// Where a signal lies in a payload, read as one little-endian word of the
+/// (at most nine) payload bytes it spans: the word's k-th byte is
+/// payload[first + k] for Intel order and payload[first - k] for Motorola
+/// order, and the raw value sits `shift` bits above the word's LSB.
+///
+/// Motorola start bits follow the DBC sawtooth (bit 7 of a byte is its first
+/// bit on the wire, bit 0 its last), so the MSB's linear index counted
+/// MSB-first is byte*8 + (7 - bit), and the signal's bits run on from there.
+struct Placement {
+  std::size_t first = 0;  // payload index of the word's least significant byte
+  std::size_t last = 0;   // highest payload index the signal touches
+  unsigned shift = 0;     // raw LSB position within the word, 0..7
+  unsigned bytes = 0;     // payload bytes spanned, 1..9
+  bool reversed = false;  // Motorola: word bytes run downward in the payload
+
+  explicit Placement(const SignalDef& sig) noexcept {
+    const std::size_t start_byte = sig.start_bit / 8u;
+    const unsigned start_in_byte = sig.start_bit % 8u;
     if (sig.byte_order == ByteOrder::kLittleEndian) {
-      return static_cast<std::size_t>(sig.start_bit) + i;
+      first = start_byte;
+      shift = start_in_byte;
+      bytes = (shift + sig.bit_length + 7u) / 8u;
+      last = first + bytes - 1;
+    } else {
+      const std::size_t lsb = start_byte * 8 + (7u - start_in_byte) + sig.bit_length - 1;
+      last = lsb / 8;
+      first = last;
+      shift = 7u - static_cast<unsigned>(lsb % 8);
+      bytes = static_cast<unsigned>(last - start_byte + 1);
+      reversed = true;
     }
-    // Big-endian: start_bit is the MSB.  Walk "forward" on the wire.
-    std::size_t byte = sig.start_bit / 8;
-    std::size_t bit = sig.start_bit % 8;  // 0..7, LSB=0
-    for (std::uint16_t step = 0; step < i; ++step) {
-      if (bit == 0) {
-        ++byte;
-        bit = 7;
-      } else {
-        --bit;
-      }
-    }
-    return byte * 8 + bit;
   }
 
-  std::size_t last_byte() const noexcept {
-    std::size_t max_byte = 0;
-    for (std::uint16_t i = 0; i < sig.bit_length; ++i) {
-      max_byte = std::max(max_byte, position(i) / 8);
-    }
-    return max_byte;
-  }
+  std::size_t at(unsigned k) const noexcept { return reversed ? first - k : first + k; }
 };
 
 }  // namespace
@@ -55,26 +58,26 @@ double SignalDef::raw_to_physical(std::uint64_t raw) const noexcept {
 std::uint64_t SignalDef::physical_to_raw(double physical) const noexcept {
   const double unscaled = scale != 0.0 ? (physical - offset) / scale : 0.0;
   const double rounded = std::nearbyint(unscaled);
-  const std::uint64_t mask =
-      bit_length >= 64 ? ~0ULL : ((1ULL << bit_length) - 1);
+  const unsigned bits = std::min<unsigned>(bit_length, 64);
+  if (bits == 0 || std::isnan(rounded)) return 0;
+  const std::uint64_t mask = low_mask(bits);
+  // The range bounds are powers of two, exact as doubles at every width;
+  // `2^n - 1` is not exact above 53 bits, so compare against the powers and
+  // saturate in integers.
   if (is_signed) {
-    const double lo = -std::ldexp(1.0, bit_length - 1);
-    const double hi = std::ldexp(1.0, bit_length - 1) - 1;
-    const auto value = static_cast<std::int64_t>(std::clamp(rounded, lo, hi));
-    return static_cast<std::uint64_t>(value) & mask;
+    const double half = std::ldexp(1.0, static_cast<int>(bits) - 1);
+    if (rounded >= half) return mask >> 1;            // 2^(n-1) - 1
+    if (rounded <= -half) return (mask >> 1) ^ mask;  // -2^(n-1), two's complement
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(rounded)) & mask;
   }
-  const double hi = std::ldexp(1.0, bit_length) - 1;
-  const auto value = static_cast<std::uint64_t>(std::clamp(rounded, 0.0, hi));
-  return value & mask;
+  if (rounded <= 0.0) return 0;
+  if (rounded >= std::ldexp(1.0, static_cast<int>(bits))) return mask;
+  return static_cast<std::uint64_t>(rounded);
 }
 
 bool SignalDef::fits(std::size_t payload_bytes) const noexcept {
   if (bit_length == 0 || bit_length > 64) return false;
-  const BitWalker walker{*this};
-  if (byte_order == ByteOrder::kLittleEndian) {
-    return static_cast<std::size_t>(start_bit) + bit_length <= payload_bytes * 8;
-  }
-  return walker.last_byte() < payload_bytes;
+  return Placement(*this).last < payload_bytes;
 }
 
 bool SignalDef::in_declared_range(double physical) const noexcept {
@@ -85,47 +88,38 @@ bool SignalDef::in_declared_range(double physical) const noexcept {
 std::optional<std::uint64_t> extract_raw(const SignalDef& sig,
                                          std::span<const std::uint8_t> payload) noexcept {
   if (!sig.fits(payload.size())) return std::nullopt;
-  const BitWalker walker{sig};
-  std::uint64_t raw = 0;
-  if (sig.byte_order == ByteOrder::kLittleEndian) {
-    for (std::uint16_t i = 0; i < sig.bit_length; ++i) {
-      const std::size_t pos = walker.position(i);
-      const std::uint64_t bit =
-          static_cast<std::uint64_t>(payload[pos / 8] >> (pos % 8)) & 1u;
-      raw |= bit << i;
-    }
-  } else {
-    for (std::uint16_t i = 0; i < sig.bit_length; ++i) {
-      const std::size_t pos = walker.position(i);
-      const std::uint64_t bit =
-          static_cast<std::uint64_t>(payload[pos / 8] >> (pos % 8)) & 1u;
-      raw = (raw << 1) | bit;  // i=0 is the MSB
-    }
+  const Placement place(sig);
+  std::uint64_t word = 0;
+  for (unsigned k = 0; k < place.bytes && k < 8; ++k) {
+    word |= static_cast<std::uint64_t>(payload[place.at(k)]) << (8 * k);
   }
-  return raw;
+  std::uint64_t raw = word >> place.shift;
+  // A ninth byte only occurs when the signal starts mid-byte (shift > 0).
+  if (place.bytes == 9) {
+    raw |= static_cast<std::uint64_t>(payload[place.at(8)]) << (64 - place.shift);
+  }
+  return raw & low_mask(sig.bit_length);
 }
 
 bool insert_raw(const SignalDef& sig, std::uint64_t raw,
                 std::span<std::uint8_t> payload) noexcept {
   if (!sig.fits(payload.size())) return false;
-  const BitWalker walker{sig};
-  for (std::uint16_t i = 0; i < sig.bit_length; ++i) {
-    const std::size_t pos = walker.position(i);
-    const std::uint16_t source_bit =
-        sig.byte_order == ByteOrder::kLittleEndian
-            ? i
-            : static_cast<std::uint16_t>(sig.bit_length - 1 - i);
-    const std::uint8_t bit = static_cast<std::uint8_t>((raw >> source_bit) & 1u);
-    const std::uint8_t mask = static_cast<std::uint8_t>(1u << (pos % 8));
-    if (bit != 0) {
-      payload[pos / 8] = static_cast<std::uint8_t>(payload[pos / 8] | mask);
-    } else {
-      payload[pos / 8] = static_cast<std::uint8_t>(payload[pos / 8] & ~mask);
-    }
+  const Placement place(sig);
+  const std::uint64_t mask = low_mask(sig.bit_length);
+  const std::uint64_t value = raw & mask;
+  auto merge = [&payload](std::size_t index, std::uint64_t bits_mask, std::uint64_t bits) {
+    const auto byte_mask = static_cast<std::uint8_t>(bits_mask);
+    payload[index] = static_cast<std::uint8_t>((payload[index] & ~byte_mask) |
+                                               (static_cast<std::uint8_t>(bits) & byte_mask));
+  };
+  for (unsigned k = 0; k < place.bytes && k < 8; ++k) {
+    merge(place.at(k), (mask << place.shift) >> (8 * k), (value << place.shift) >> (8 * k));
+  }
+  if (place.bytes == 9) {
+    merge(place.at(8), mask >> (64 - place.shift), value >> (64 - place.shift));
   }
   return true;
 }
-
 std::optional<double> decode(const SignalDef& sig,
                              std::span<const std::uint8_t> payload) noexcept {
   const auto raw = extract_raw(sig, payload);

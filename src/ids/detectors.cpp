@@ -141,6 +141,13 @@ EntropyDetector::EntropyDetector(EntropyConfig config) : Detector(0.6), config_(
   if (config_.window_frames == 0) config_.window_frames = 1;
   config_.min_frames = std::max<std::size_t>(1, std::min(config_.min_frames,
                                                          config_.window_frames));
+  const std::size_t max_count = config_.window_frames * can::kMaxClassicPayload;
+  log2_.resize(max_count + 1);
+  c_log2_c_.resize(max_count + 1);  // entry 0 stays 0: an empty bin adds nothing
+  for (std::size_t c = 1; c <= max_count; ++c) {
+    log2_[c] = std::log2(static_cast<double>(c));
+    c_log2_c_[c] = static_cast<double>(c) * std::log2(static_cast<double>(c));
+  }
 }
 
 EntropyDetector::Window& EntropyDetector::window_for(std::uint32_t id) {
@@ -150,11 +157,13 @@ EntropyDetector::Window& EntropyDetector::window_for(std::uint32_t id) {
 }
 
 void EntropyDetector::push(Window& window, const can::CanFrame& frame) {
-  auto count_delta = [&window](std::uint8_t value, std::int32_t delta) {
+  // Subtracting or adding the empty bin's 0.0 leaves the sum bit-identical:
+  // it starts at +0.0 and can never become -0.0.
+  auto count_delta = [&window, this](std::uint8_t value, std::int32_t delta) {
     std::uint32_t& c = window.counts[value];
-    if (c > 0) window.sum_c_log_c -= static_cast<double>(c) * std::log2(c);
+    window.sum_c_log_c -= c_log2_c_[c];
     c = static_cast<std::uint32_t>(static_cast<std::int64_t>(c) + delta);
-    if (c > 0) window.sum_c_log_c += static_cast<double>(c) * std::log2(c);
+    window.sum_c_log_c += c_log2_c_[c];
   };
   if (window.frames == window.ring.size()) {
     Window::Slot& old = window.ring[window.head];
@@ -174,11 +183,12 @@ void EntropyDetector::push(Window& window, const can::CanFrame& frame) {
   window.head = (window.head + 1) % window.ring.size();
 }
 
-double EntropyDetector::normalized_entropy(const Window& window) {
+double EntropyDetector::normalized_entropy(const Window& window) const {
   const double n = static_cast<double>(window.bytes_total);
   if (n <= 1.0) return 0.0;
-  const double entropy = std::log2(n) - window.sum_c_log_c / n;
-  const double max_entropy = std::min(8.0, std::log2(n));
+  const double log2_n = log2_[window.bytes_total];
+  const double entropy = log2_n - window.sum_c_log_c / n;
+  const double max_entropy = std::min(8.0, log2_n);
   if (max_entropy <= 0.0) return 0.0;
   return clamp01(entropy / max_entropy);
 }

@@ -170,9 +170,13 @@ class EntropyDetector final : public Detector {
 
   Window& window_for(std::uint32_t id);
   void push(Window& window, const can::CanFrame& frame);
-  static double normalized_entropy(const Window& window);
+  double normalized_entropy(const Window& window) const;
 
   EntropyConfig config_;
+  /// log2(k) and k*log2(k) for every count a window can hold (0..8*frames),
+  /// built once so the per-byte updates make no libm calls.
+  std::vector<double> log2_;
+  std::vector<double> c_log2_c_;
   std::unordered_map<std::uint32_t, Window> windows_;
   std::unordered_map<std::uint32_t, double> baseline_;
   bool training_done_ = false;

@@ -106,10 +106,9 @@ void SignalPlausibilityOracle::on_frame(const can::CanFrame& frame, sim::SimTime
     const auto value = dbc::decode(sig, frame.payload());
     if (!value || sig.in_declared_range(*value)) continue;
     ++violations_;
-    char detail[128];
-    std::snprintf(detail, sizeof detail, "%s.%s = %.1f outside [%g, %g]", def->name.c_str(),
-                  sig.name.c_str(), *value, sig.min, sig.max);
-    last_detail_ = detail;
+    last_message_ = def;
+    last_signal_ = &sig;
+    last_value_ = *value;
     last_time_ = time;
   }
 }
@@ -117,13 +116,18 @@ void SignalPlausibilityOracle::on_frame(const can::CanFrame& frame, sim::SimTime
 std::optional<Observation> SignalPlausibilityOracle::poll(sim::SimTime) {
   if (violations_ == reported_violations_) return std::nullopt;
   reported_violations_ = violations_;
-  return Observation{Verdict::kSuspicious, last_detail_, last_time_};
+  char detail[128];
+  std::snprintf(detail, sizeof detail, "%s.%s = %.1f outside [%g, %g]",
+                last_message_->name.c_str(), last_signal_->name.c_str(), last_value_,
+                last_signal_->min, last_signal_->max);
+  return Observation{Verdict::kSuspicious, detail, last_time_};
 }
 
 void SignalPlausibilityOracle::reset() {
   violations_ = 0;
   reported_violations_ = 0;
-  last_detail_.clear();
+  last_message_ = nullptr;
+  last_signal_ = nullptr;
 }
 
 }  // namespace acf::oracle

@@ -92,6 +92,10 @@ class SignalPlausibilityOracle final : public Oracle, private can::BusListener {
  public:
   SignalPlausibilityOracle(can::VirtualBus& bus, dbc::Database database);
   ~SignalPlausibilityOracle() override;
+  // The bus holds this object's address, and the last-violation handles
+  // point into its own database.
+  SignalPlausibilityOracle(const SignalPlausibilityOracle&) = delete;
+  SignalPlausibilityOracle& operator=(const SignalPlausibilityOracle&) = delete;
 
   std::string_view name() const override { return "signal-plausibility"; }
   std::optional<Observation> poll(sim::SimTime now) override;
@@ -107,7 +111,10 @@ class SignalPlausibilityOracle final : public Oracle, private can::BusListener {
   dbc::Database db_;
   std::uint64_t violations_ = 0;
   std::uint64_t reported_violations_ = 0;
-  std::string last_detail_;
+  // The last violation, formatted only when poll() reports it.
+  const dbc::MessageDef* last_message_ = nullptr;
+  const dbc::SignalDef* last_signal_ = nullptr;
+  double last_value_ = 0.0;
   sim::SimTime last_time_{0};
 };
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -149,6 +152,39 @@ TEST(Signal, PhysicalToRawClampsAtLimits) {
   auto sgn = make_signal(0, 8, ByteOrder::kLittleEndian, true, 1.0, 0.0);
   EXPECT_EQ(sgn.physical_to_raw(200.0), 127u);
   EXPECT_EQ(sgn.physical_to_raw(-200.0), 0x80u);
+}
+
+TEST(Signal, PhysicalToRawSaturatesExactlyAtEveryWidth) {
+  // Above 53 bits 2^n - 1 is not a double; saturation must still land on
+  // the range's own end, and in-range values near it must pass unchanged.
+  for (const std::uint16_t bits : std::initializer_list<std::uint16_t>{53, 54, 63, 64}) {
+    SCOPED_TRACE(bits);
+    const std::uint64_t mask = bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+    const auto top = make_signal(0, bits, ByteOrder::kLittleEndian);
+    EXPECT_EQ(top.physical_to_raw(1e30), mask);
+    EXPECT_EQ(top.physical_to_raw(-1e30), 0u);
+    EXPECT_EQ(top.physical_to_raw(0.0), 0u);
+    const double limit = std::ldexp(1.0, bits);  // first value past the range
+    EXPECT_EQ(top.physical_to_raw(limit), mask);
+    // The largest whole double inside the range.
+    const double below = std::min(std::nextafter(limit, 0.0), limit - 1.0);
+    EXPECT_EQ(top.physical_to_raw(below), static_cast<std::uint64_t>(below));
+
+    const auto sgn = make_signal(0, bits, ByteOrder::kLittleEndian, true);
+    const std::uint64_t max_raw = mask >> 1;       // 2^(n-1) - 1
+    const std::uint64_t min_raw = max_raw ^ mask;  // -2^(n-1), two's complement
+    EXPECT_EQ(sgn.physical_to_raw(1e30), max_raw);
+    EXPECT_EQ(sgn.physical_to_raw(-1e30), min_raw);
+    const double half = std::ldexp(1.0, bits - 1);
+    EXPECT_EQ(sgn.physical_to_raw(half), max_raw);
+    EXPECT_EQ(sgn.physical_to_raw(-half), min_raw);
+    EXPECT_EQ(sign_extend(sgn.physical_to_raw(-half), bits),
+              static_cast<std::int64_t>(-half));
+    const double below_half = std::min(std::nextafter(half, 0.0), half - 1.0);
+    EXPECT_EQ(sgn.physical_to_raw(below_half), static_cast<std::uint64_t>(below_half));
+    EXPECT_EQ(sign_extend(sgn.physical_to_raw(-below_half), bits),
+              static_cast<std::int64_t>(-below_half));
+  }
 }
 
 TEST(Signal, DeclaredRangeCheck) {

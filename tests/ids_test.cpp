@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <deque>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,6 +27,7 @@
 #include "trace/candump_log.hpp"
 #include "trace/capture.hpp"
 #include "transport/virtual_bus_transport.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "vehicle/vehicle.hpp"
 
@@ -156,6 +161,99 @@ TEST(IdsEntropy, SeparatesConstantTrafficFromRandomPayloads) {
     last = detector.score(*generator.next(), SimTime(200ms + i * 1ms));
   }
   EXPECT_GT(last, 0.6);
+}
+
+/// The entropy detector's arithmetic with a std::log2 call per term, in the
+/// same order as the detector's incremental updates.
+class ReferenceEntropy {
+ public:
+  explicit ReferenceEntropy(EntropyConfig config) : config_(config) {}
+
+  double score(const CanFrame& frame) {
+    Window& window = windows_[frame.id()];
+    push(window, frame);
+    if (window.frames.size() < config_.min_frames) return 0.0;
+    const double h = normalized(window);
+    const auto base = baseline_.find(frame.id());
+    if (base == baseline_.end() || base->second >= 1.0) return h;
+    return std::clamp((h - base->second) / (1.0 - base->second), 0.0, 1.0);
+  }
+  void train(const CanFrame& frame) { push(windows_[frame.id()], frame); }
+  void finalize_training() {
+    for (const auto& [id, window] : windows_) {
+      if (window.frames.size() >= config_.min_frames) baseline_[id] = normalized(window);
+    }
+  }
+  void reset() { windows_.clear(); }
+
+ private:
+  struct Window {
+    std::deque<std::vector<std::uint8_t>> frames;
+    std::array<std::uint32_t, 256> counts{};
+    double sum = 0.0;
+    std::uint64_t bytes = 0;
+  };
+
+  void count_delta(Window& window, std::uint8_t value, int delta) {
+    std::uint32_t& c = window.counts[value];
+    if (c > 0) window.sum -= static_cast<double>(c) * std::log2(c);
+    c = static_cast<std::uint32_t>(static_cast<int>(c) + delta);
+    if (c > 0) window.sum += static_cast<double>(c) * std::log2(c);
+  }
+  void push(Window& window, const CanFrame& frame) {
+    if (window.frames.size() == config_.window_frames) {
+      for (std::uint8_t byte : window.frames.front()) count_delta(window, byte, -1);
+      window.bytes -= window.frames.front().size();
+      window.frames.pop_front();
+    }
+    const auto payload = frame.payload();
+    window.frames.emplace_back(payload.begin(), payload.end());
+    for (std::uint8_t byte : payload) count_delta(window, byte, +1);
+    window.bytes += payload.size();
+  }
+  static double normalized(const Window& window) {
+    const double n = static_cast<double>(window.bytes);
+    if (n <= 1.0) return 0.0;
+    const double entropy = std::log2(n) - window.sum / n;
+    const double max_entropy = std::min(8.0, std::log2(n));
+    if (max_entropy <= 0.0) return 0.0;
+    return std::clamp(entropy / max_entropy, 0.0, 1.0);
+  }
+
+  EntropyConfig config_;
+  std::map<std::uint32_t, Window> windows_;
+  std::map<std::uint32_t, double> baseline_;
+};
+
+TEST(IdsEntropy, ScoresEqualTheLog2ReferenceBitForBit) {
+  EntropyConfig config;
+  config.window_frames = 5;
+  config.min_frames = 3;
+  EntropyDetector detector(config);
+  ReferenceEntropy reference(config);
+  util::Rng rng(0xE27);
+  auto random_frame = [&rng] {
+    std::vector<std::uint8_t> payload(rng.next_below(9));
+    // A small byte alphabet repeats values, so bin counts climb and fall.
+    for (auto& byte : payload) byte = static_cast<std::uint8_t>(rng.next_below(6) * 37);
+    return *CanFrame::data(0x100 + static_cast<std::uint32_t>(rng.next_below(3)), payload);
+  };
+  for (int i = 0; i < 200; ++i) {
+    const CanFrame frame = random_frame();
+    detector.train(frame, SimTime(i * 1ms));
+    reference.train(frame);
+  }
+  detector.finalize_training();
+  reference.finalize_training();
+  for (int i = 0; i < 3000; ++i) {
+    if (i == 1500) {
+      detector.reset();
+      reference.reset();
+    }
+    const CanFrame frame = random_frame();
+    EXPECT_EQ(detector.score(frame, SimTime(i * 1ms)), reference.score(frame))
+        << "frame " << i << " " << frame.to_string();
+  }
 }
 
 TEST(IdsDetectors, StandardSetCarriesFourDetectors) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "oracle/bus_oracles.hpp"
 #include "oracle/vehicle_oracles.hpp"
 #include "transport/virtual_bus_transport.hpp"
+#include "util/rng.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace acf::oracle {
@@ -232,6 +237,54 @@ TEST(SignalPlausibilityOracle, FlagsOutOfRangeSignals) {
   EXPECT_EQ(obs->verdict, Verdict::kSuspicious);
   EXPECT_NE(obs->detail.find("EngineRPM"), std::string::npos);
   EXPECT_GT(oracle.violations(), 0u);
+}
+
+TEST(SignalPlausibilityOracle, PollReportsTheLastViolationFormattedAsBefore) {
+  // The detail is formatted at poll time; it must read exactly as the text
+  // formatted when the last violation was seen.
+  sim::Scheduler scheduler;
+  can::VirtualBus bus(scheduler);
+  SignalPlausibilityOracle oracle(bus, dbc::target_vehicle_database());
+  transport::VirtualBusTransport tx(bus, "tx");
+  const dbc::Database& db = dbc::target_vehicle_database();
+  util::Rng rng(0x9A7);
+  const std::vector<std::uint32_t> ids = db.ids();
+  std::size_t reports = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::string expected;
+    const std::uint64_t violations_before = oracle.violations();
+    for (int burst = 0; burst < 3; ++burst) {
+      std::vector<std::uint8_t> payload(8);
+      for (auto& byte : payload) byte = rng.next_byte();
+      const auto frame = can::CanFrame::data(rng.pick(ids), payload);
+      tx.send(*frame);
+      for (const auto& sig : db.by_id(frame->id())->signals) {
+        const auto value = dbc::decode(sig, frame->payload());
+        if (!value || sig.in_declared_range(*value)) continue;
+        char detail[128];
+        std::snprintf(detail, sizeof detail, "%s.%s = %.1f outside [%g, %g]",
+                      db.by_id(frame->id())->name.c_str(), sig.name.c_str(), *value, sig.min,
+                      sig.max);
+        expected = detail;
+      }
+    }
+    scheduler.run_for(std::chrono::milliseconds(2));
+    const auto obs = oracle.poll(scheduler.now());
+    if (oracle.violations() == violations_before) {
+      EXPECT_FALSE(obs.has_value());
+      continue;
+    }
+    ASSERT_TRUE(obs.has_value());
+    EXPECT_EQ(obs->detail, expected);
+    ++reports;
+  }
+  EXPECT_GT(reports, 50u);
+
+  tx.send(*can::CanFrame::data(dbc::kMsgEngineData, {0xFF, 0xFF, 0, 0, 0, 0, 0, 0}));
+  scheduler.run_for(std::chrono::milliseconds(2));
+  oracle.reset();
+  EXPECT_FALSE(oracle.poll(scheduler.now()).has_value());
+  EXPECT_EQ(oracle.violations(), 0u);
 }
 
 TEST(SignalPlausibilityOracle, UnknownIdsIgnored) {
