@@ -101,10 +101,9 @@ int main(int argc, char** argv) {
     fleet::TrialPlan ids_plan({"DLC check as detector"},
                               static_cast<std::size_t>(args.runs), args.seed,
                               std::chrono::minutes(5));
-    ids::EvalSink sink = ids::make_eval_sink(ids_plan);
     fleet::Executor ids_executor(executor_config);
-    ids_executor.run(ids_plan, ids::ids_unlock_world_factory({arm}, sink));
-    const auto reports = ids::merge_evals(ids_plan, *sink);
+    const auto reports = ids::merge_outcome_evals(
+        ids_plan, ids_executor.run(ids_plan, ids::ids_unlock_world_factory({arm})));
     const ids::ArmIdsReport::PerDetector& det = reports[0].detectors.at(0);
     const util::Interval rate = det.detection_rate_ci(reports[0].trials);
     std::printf("Detection-side DLC hardening (same dlc_matches check, weak bench):\n");

@@ -7,8 +7,9 @@
 //
 // `--jsonl PATH` exports one line per (arm, detector) with the merged
 // metrics and the ROC curve; the export is byte-identical at any --threads
-// for a given seed (slot-per-trial evaluation sink, merged in trial-index
-// order).
+// for a given seed (each trial's evaluation rides in its outcome as digest
+// findings, merged in trial-index order).  `--attacks` runs the same
+// fleet section over the attack-scenario catalog instead.
 //
 // A second section reproduces the Fig. 4 / Fig. 5 contrast as a detector
 // property: the entropy detector trained on captured vehicle traffic must
@@ -181,66 +182,35 @@ bool counters_cross_check(const std::vector<acf::ids::ArmIdsReport>& reports) {
   return counters_ok;
 }
 
-/// --attacks: the per-(attack, detector) evaluation matrix over the full
-/// scenario catalog.  Each trial ships its evaluation back as digest
-/// findings, so the merged matrix here is the same one a --distributed run
-/// reconstructs from the remote outcomes.
-int run_attacks(const IdsRocArgs& args) {
+/// The fleet section of both modes: run the plan, print the outcome table
+/// under `outcome_caption` and the per-arm detector reports, export JSONL,
+/// cross-check the counters.  Each trial ships its evaluation back as
+/// digest findings, so the reports here are the same ones a distributed
+/// run reconstructs from remote outcomes.  `families` (the attack matrix)
+/// runs parallel to the plan's arms and labels each JSONL line.
+bool run_ids_fleet(const IdsRocArgs& args, const acf::fleet::TrialPlan& plan,
+                   const acf::fleet::WorldFactory& factory, acf::bench::FleetMetrics& metrics,
+                   const char* outcome_caption,
+                   const std::vector<std::string>* families = nullptr) {
   using namespace acf;
-  bench::header("IDS evaluation: attack catalog",
-                "Per-(attack, detector) matrix over the scenario families (" +
-                    std::to_string(args.fleet.runs) + " trials per arm)");
-
-  const std::vector<attacks::AttackArm> arms = attacks::standard_attack_arms();
-  std::vector<std::string> labels;
-  std::vector<std::string> families;
-  for (const attacks::AttackArm& arm : arms) {
-    labels.push_back(arm.label);
-    families.push_back(attacks::to_string(arm.spec.family));
-  }
-  fleet::TrialPlan plan(labels, static_cast<std::size_t>(args.fleet.runs), args.fleet.seed);
-
-  bench::FleetMetrics metrics;
-  const bool observing = args.fleet.metrics_out != nullptr;
-  fleet::ExecutorConfig executor_config;
-  executor_config.threads = args.fleet.threads;
-  if (observing) {
-    metrics.open(args.fleet.metrics_out, "local");
-    executor_config.registry = &metrics.registry;
-    executor_config.snapshot_writer = &*metrics.writer;
-    executor_config.snapshot_interval = args.fleet.metrics_interval;
-  }
-  fleet::Executor executor(executor_config);
-  fleet::ProgressReporter progress;
-  if (observing) progress.attach_registry(&metrics.registry);
-  const auto outcomes = executor.run(
-      plan, attacks::attack_world_factory(arms, observing ? &metrics.registry : nullptr),
-      &progress);
-  if (observing) {
-    const metrics::RegistrySnapshot snap = metrics.registry.snapshot();
-    double sim_seconds = 0.0;
-    for (const auto& timer : snap.timers)
-      if (timer.name == "fleet.trial.sim_seconds") sim_seconds = timer.sum;
-    metrics.writer->write(snap, sim_seconds);
-    std::fprintf(stderr, "%s", metrics::render_table(snap).c_str());
-  }
-
+  const std::vector<fleet::TrialOutcome> outcomes =
+      bench::run_fleet(plan, factory, args.fleet, "ids-roc", &metrics);
   const fleet::FleetReport fleet_report = fleet::aggregate(plan, outcomes);
-  const std::vector<ids::ArmIdsReport> reports = attacks::merge_outcome_evals(plan, outcomes);
+  const std::vector<ids::ArmIdsReport> reports = ids::merge_outcome_evals(plan, outcomes);
 
-  std::printf("Attack impact (kFailure findings -> detected / time-to-failure):\n");
+  std::printf("%s\n", outcome_caption);
   bench::print_fleet_report(fleet_report);
   print_reports(reports);
 
   if (!args.jsonl_path.empty()) {
     std::ofstream out(args.jsonl_path);
-    write_jsonl(out, reports, &families);
+    write_jsonl(out, reports, families);
     std::printf("wrote %s (byte-identical at any --threads for a given --seed)\n\n",
                 args.jsonl_path.c_str());
   }
 
   const bool counters_ok = counters_cross_check(reports);
-  return counters_ok && fleet_report.errors == 0 ? 0 : 1;
+  return counters_ok && fleet_report.errors == 0;
 }
 
 /// Fig. 4 vs Fig. 5 as a detector property: train on the first half of a
@@ -282,61 +252,41 @@ double entropy_capture_vs_fuzz_auc() {
 int main(int argc, char** argv) {
   using namespace acf;
   const IdsRocArgs args = parse_args(argc, argv);
-  if (args.attacks) return run_attacks(args);
+  const std::size_t runs = static_cast<std::size_t>(args.fleet.runs);
+  // Declared before the world factories: the registry outlives every world.
+  bench::FleetMetrics metrics;
+  metrics::Registry* registry = args.fleet.metrics_out ? &metrics.registry : nullptr;
+  if (args.attacks) {
+    bench::header("IDS evaluation: attack catalog",
+                  "Per-(attack, detector) matrix over the scenario families (" +
+                      std::to_string(args.fleet.runs) + " trials per arm)");
+    const std::vector<attacks::AttackArm> arms = attacks::standard_attack_arms();
+    std::vector<std::string> labels;
+    std::vector<std::string> families;
+    for (const attacks::AttackArm& arm : arms) {
+      labels.push_back(arm.label);
+      families.push_back(attacks::to_string(arm.spec.family));
+    }
+    const fleet::TrialPlan plan(labels, runs, args.fleet.seed);
+    const bool ok = run_ids_fleet(
+        args, plan, attacks::attack_world_factory(arms, registry), metrics,
+        "Attack impact (kFailure findings -> detected / time-to-failure):", &families);
+    return ok ? 0 : 1;
+  }
+
   bench::header("IDS evaluation",
                 "Detector precision/recall/ROC on the Table V unlock world (" +
                     std::to_string(args.fleet.runs) + " runs per arm, 1 ms tx period)");
-
   std::vector<ids::IdsArm> arms(2);
   arms[1].predicate = vehicle::UnlockPredicate::id_byte_and_length();
-  fleet::TrialPlan plan({"Single id and byte", "Single id, byte plus data length"},
-                        static_cast<std::size_t>(args.fleet.runs), args.fleet.seed);
-  bench::FleetMetrics metrics;
-  const bool observing = args.fleet.metrics_out != nullptr;
-  fleet::ExecutorConfig executor_config;
-  executor_config.threads = args.fleet.threads;
-  if (observing) {
-    metrics.open(args.fleet.metrics_out, "local");
-    executor_config.registry = &metrics.registry;
-    executor_config.snapshot_writer = &*metrics.writer;
-    executor_config.snapshot_interval = args.fleet.metrics_interval;
-  }
-  fleet::Executor executor(executor_config);
-  fleet::ProgressReporter progress;
-  if (observing) progress.attach_registry(&metrics.registry);
-  ids::EvalSink sink = ids::make_eval_sink(plan);
-  const auto outcomes = executor.run(
-      plan,
-      ids::ids_unlock_world_factory(arms, sink, observing ? &metrics.registry : nullptr),
-      &progress);
-  if (observing) {
-    // Final snapshot: the ids.latency.* timers make the per-detector
-    // detection-latency quantiles visible next to the fleet totals.
-    const metrics::RegistrySnapshot snap = metrics.registry.snapshot();
-    double sim_seconds = 0.0;
-    for (const auto& timer : snap.timers)
-      if (timer.name == "fleet.trial.sim_seconds") sim_seconds = timer.sum;
-    metrics.writer->write(snap, sim_seconds);
-    std::fprintf(stderr, "%s", metrics::render_table(snap).c_str());
-  }
-  const fleet::FleetReport fleet_report = fleet::aggregate(plan, outcomes);
-  const std::vector<ids::ArmIdsReport> reports = ids::merge_evals(plan, *sink);
-
-  std::printf("Unlock times (the attack these detectors watch):\n");
-  bench::print_fleet_report(fleet_report);
-  print_reports(reports);
-
-  if (!args.jsonl_path.empty()) {
-    std::ofstream out(args.jsonl_path);
-    write_jsonl(out, reports);
-    std::printf("wrote %s (byte-identical at any --threads for a given --seed)\n\n",
-                args.jsonl_path.c_str());
-  }
-
-  const bool counters_ok = counters_cross_check(reports);
+  const fleet::TrialPlan plan({"Single id and byte", "Single id, byte plus data length"},
+                              runs, args.fleet.seed);
+  const bool fleet_ok =
+      run_ids_fleet(args, plan, ids::ids_unlock_world_factory(arms, registry), metrics,
+                    "Unlock times (the attack these detectors watch):");
 
   const double auc = entropy_capture_vs_fuzz_auc();
   std::printf("Entropy detector, captured (Fig. 4) vs fuzz (Fig. 5) traffic: AUC %.3f  %s\n",
               auc, auc > 0.9 ? "[ok: > 0.9]" : "[FAIL: expected > 0.9]");
-  return (auc > 0.9 && counters_ok) ? 0 : 1;
+  return (auc > 0.9 && fleet_ok) ? 0 : 1;
 }

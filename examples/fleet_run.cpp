@@ -221,7 +221,7 @@ int report_and_export(const Campaign& campaign, const std::vector<fleet::TrialOu
     // findings — the same numbers whether the outcomes came from the local
     // executor or from remote workers.
     const std::vector<ids::ArmIdsReport> evals =
-        attacks::merge_outcome_evals(campaign.plan, outcomes);
+        ids::merge_outcome_evals(campaign.plan, outcomes);
     for (const ids::ArmIdsReport& arm : evals) {
       std::printf("Attack \"%s\": %zu trials, %llu attack / %llu legitimate frames\n",
                   arm.label.c_str(), arm.trials,

@@ -7,7 +7,6 @@
 #include "attacks/scenario.hpp"
 #include "dbc/target_vehicle_db.hpp"
 #include "ids/detectors.hpp"
-#include "ids/eval_codec.hpp"
 #include "metrics/metrics.hpp"
 #include "obd/obd.hpp"
 #include "sim/scheduler.hpp"
@@ -158,22 +157,11 @@ AttackTrialResult run_attack_trial(const AttackArm& arm, const fleet::TrialSpec&
 
   // The evaluation leaves the trial as digest findings: nominal-verdict
   // lines that survive the JSONL export and the remote wire byte-for-byte.
-  record({oracle::Verdict::kNominal, ids::encode_eval_totals(out.eval), scheduler.now()});
-  for (const ids::DetectorEval& detector : out.eval.detectors) {
-    record({oracle::Verdict::kNominal, ids::encode_detector_eval(detector),
-            scheduler.now()});
-  }
-
+  ids::append_eval_findings(out.result, out.eval, scheduler.now(),
+                            std::string("attack:") + to_string(arm.spec.family), spec.seed);
   if (registry) {
-    scheduler.publish_metrics(*registry);
-    car.powertrain_bus().publish_metrics(*registry);
-    car.body_bus().publish_metrics(*registry);
-    registry->absorb(pipeline.registry().snapshot());
-    for (const ids::DetectorEval& detector : out.eval.detectors) {
-      if (detector.detection_latency >= 0.0) {
-        registry->timer("ids.latency." + detector.name).record(detector.detection_latency);
-      }
-    }
+    ids::publish_trial_metrics(*registry, scheduler,
+                               {&car.powertrain_bus(), &car.body_bus()}, pipeline, out.eval);
   }
   if (tap) out.observed = tap->frames();
   return out;
@@ -186,20 +174,6 @@ fleet::WorldFactory attack_world_factory(std::vector<AttackArm> arms,
   return fleet::world_from([shared, registry](const fleet::TrialSpec& spec) {
     return run_attack_trial(shared->at(spec.arm), spec, registry).result;
   });
-}
-
-std::vector<ids::ArmIdsReport> merge_outcome_evals(
-    const fleet::TrialPlan& plan, std::span<const fleet::TrialOutcome> outcomes) {
-  std::vector<ids::TrialEval> evals(plan.trial_count());
-  for (const fleet::TrialOutcome& outcome : outcomes) {
-    if (!outcome.completed()) continue;
-    if (outcome.spec.trial_index >= evals.size()) continue;
-    ids::TrialEval& eval = evals[outcome.spec.trial_index];
-    for (const std::string& line : outcome.findings) {
-      ids::decode_eval_line(line, eval);
-    }
-  }
-  return ids::merge_evals(plan, evals);
 }
 
 }  // namespace acf::attacks

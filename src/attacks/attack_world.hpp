@@ -12,13 +12,11 @@
 // count or from remote workers.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "attacks/config.hpp"
 #include "fleet/trial.hpp"
-#include "fleet/trial_plan.hpp"
 #include "ids/ids_world.hpp"
 #include "trace/capture.hpp"
 
@@ -59,17 +57,9 @@ AttackTrialResult run_attack_trial(const AttackArm& arm, const fleet::TrialSpec&
                                    bool capture_observed = false);
 
 /// WorldFactory running attack arms through run_trial_pool.  When
-/// `registry` is non-null each world publishes its scheduler/bus totals,
-/// the pipeline counters and per-detector `ids.latency.*` samples at trial
-/// end, like the IDS unlock worlds.
+/// `registry` is non-null each world calls ids::publish_trial_metrics into
+/// it at trial end, like the IDS unlock worlds.
 fleet::WorldFactory attack_world_factory(std::vector<AttackArm> arms,
                                          metrics::Registry* registry = nullptr);
-
-/// Rebuilds per-arm evaluation reports from outcome findings (the digest
-/// lines run_attack_trial emitted), folding in trial-index order — the
-/// same merged matrix whatever executor, thread count or wire produced the
-/// outcomes.
-std::vector<ids::ArmIdsReport> merge_outcome_evals(
-    const fleet::TrialPlan& plan, std::span<const fleet::TrialOutcome> outcomes);
 
 }  // namespace acf::attacks

@@ -1,6 +1,6 @@
 #include "ids/eval_codec.hpp"
 
-#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -62,7 +62,9 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
   std::uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (~std::uint64_t{0} - digit) / 10) return false;  // would wrap
+    value = value * 10 + digit;
   }
   out = value;
   return true;
@@ -74,16 +76,20 @@ bool parse_double(std::string_view text, double& out) {
   text.copy(buffer, text.size());
   buffer[text.size()] = '\0';
   char* end = nullptr;
-  errno = 0;
   const double value = std::strtod(buffer, &end);
-  if (end != buffer + text.size() || errno == ERANGE) return false;
+  // Overflow yields ±HUGE_VAL, so the finiteness test also rejects it;
+  // underflow rounds toward zero like any other decimal rounding.
+  if (end != buffer + text.size() || !std::isfinite(value)) return false;
   out = value;
   return true;
 }
 
+/// "-" or a comma list of bin:count pairs; an absent field, an empty pair
+/// or a bin past the histogram is malformed.
 bool parse_bins(std::string_view text, std::vector<std::uint64_t>& bins) {
   if (text == "-") return true;
-  while (!text.empty()) {
+  if (text.empty()) return false;
+  while (true) {
     const std::size_t comma = text.find(',');
     const std::string_view pair = text.substr(0, comma);
     const std::size_t colon = pair.find(':');
@@ -93,10 +99,9 @@ bool parse_bins(std::string_view text, std::vector<std::uint64_t>& bins) {
     if (!parse_u64(pair.substr(colon + 1), count)) return false;
     if (index >= bins.size()) return false;
     bins[index] = count;
-    if (comma == std::string_view::npos) break;
+    if (comma == std::string_view::npos) return true;
     text.remove_prefix(comma + 1);
   }
-  return true;
 }
 
 }  // namespace

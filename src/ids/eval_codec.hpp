@@ -35,7 +35,9 @@ std::string encode_detector_eval(const DetectorEval& detector);
 /// Scans `line` for the digest marker (any prefix — e.g. a Finding summary —
 /// is skipped) and merges the payload into `eval`: a totals line sets the
 /// trial counters, a det line appends to eval.detectors.  Returns false when
-/// the line carries no digest or fails to parse (eval is left unchanged).
+/// the line carries no digest or fails to parse (eval is left unchanged):
+/// a missing field, a count past 2^64 - 1, a non-finite threshold or
+/// latency, or a histogram bin past DetectorEval::kBins.
 bool decode_eval_line(std::string_view line, TrialEval& eval);
 
 }  // namespace acf::ids

@@ -7,6 +7,7 @@
 #include "fuzzer/campaign.hpp"
 #include "fuzzer/generator.hpp"
 #include "ids/detectors.hpp"
+#include "ids/eval_codec.hpp"
 #include "metrics/metrics.hpp"
 #include "oracle/vehicle_oracles.hpp"
 #include "sim/scheduler.hpp"
@@ -15,21 +16,16 @@
 
 namespace acf::ids {
 
-EvalSink make_eval_sink(const fleet::TrialPlan& plan) {
-  return std::make_shared<std::vector<TrialEval>>(plan.trial_count());
-}
-
 namespace {
 
 /// One detector-evaluation trial: the Table V bench plus a tapped pipeline.
-/// Train on clean traffic, freeze, fuzz with labeling, deposit the eval.
+/// Train on clean traffic, freeze, fuzz with labeling, ship the eval.
 class IdsUnlockWorld final : public fleet::World {
  public:
-  IdsUnlockWorld(const IdsArm& arm, const fleet::TrialSpec& spec, EvalSink sink,
-                 metrics::Registry* registry)
+  IdsUnlockWorld(const IdsArm& arm, const fleet::TrialSpec& spec, metrics::Registry* registry)
       : registry_(registry), bench_(scheduler_, arm.predicate),
-        attacker_(bench_.bus(), "attacker"), pipeline_(arm.pipeline),
-        sink_(std::move(sink)), spec_(spec), train_window_(arm.train_window) {
+        attacker_(bench_.bus(), "attacker"), pipeline_(arm.pipeline), seed_(spec.seed),
+        train_window_(arm.train_window) {
     auto detectors = arm.detectors ? arm.detectors()
                                    : standard_detectors(dbc::target_vehicle_database());
     for (auto& detector : detectors) pipeline_.add(std::move(detector));
@@ -58,24 +54,14 @@ class IdsUnlockWorld final : public fleet::World {
     pipeline_.begin_training();
     scheduler_.run_for(train_window_);
     pipeline_.begin_detection();
-    const fuzzer::CampaignResult result = campaign_->run();
+    fuzzer::CampaignResult result = campaign_->run();
     TrialEval eval = evaluator_->take();
     eval.pipeline = pipeline_.counters();
     if (registry_) {
-      // Per-trial totals published exactly once, at trial end, so the
-      // shared registry's counters are order-independent sums.
-      scheduler_.publish_metrics(*registry_);
-      bench_.bus().publish_metrics(*registry_);
-      registry_->absorb(pipeline_.registry().snapshot());
-      for (const DetectorEval& det : eval.detectors) {
-        if (det.detection_latency >= 0.0) {
-          registry_->timer("ids.latency." + det.name).record(det.detection_latency);
-        }
-      }
+      publish_trial_metrics(*registry_, scheduler_, {&bench_.bus()}, pipeline_, eval);
     }
-    if (spec_.trial_index < sink_->size()) {
-      (*sink_)[spec_.trial_index] = std::move(eval);
-    }
+    append_eval_findings(result, eval, scheduler_.now(), std::string(generator_->name()),
+                         seed_);
     return result;
   }
 
@@ -87,8 +73,7 @@ class IdsUnlockWorld final : public fleet::World {
   vehicle::UnlockTestbench bench_;
   transport::VirtualBusTransport attacker_;
   Pipeline pipeline_;
-  EvalSink sink_;
-  fleet::TrialSpec spec_;
+  std::uint64_t seed_;
   sim::Duration train_window_;
   std::unique_ptr<PipelineEvaluator> evaluator_;
   oracle::CompositeOracle oracles_;
@@ -98,26 +83,64 @@ class IdsUnlockWorld final : public fleet::World {
 
 }  // namespace
 
-fleet::WorldFactory ids_unlock_world_factory(std::vector<IdsArm> arms, EvalSink sink,
+fleet::WorldFactory ids_unlock_world_factory(std::vector<IdsArm> arms,
                                              metrics::Registry* registry) {
   if (arms.empty()) throw std::invalid_argument("ids_unlock_world_factory: no arms");
-  if (!sink) throw std::invalid_argument("ids_unlock_world_factory: null sink");
   auto shared = std::make_shared<const std::vector<IdsArm>>(std::move(arms));
-  return [shared, sink, registry](const fleet::TrialSpec& spec)
-             -> std::unique_ptr<fleet::World> {
-    return std::make_unique<IdsUnlockWorld>(shared->at(spec.arm), spec, sink, registry);
+  return [shared, registry](const fleet::TrialSpec& spec) -> std::unique_ptr<fleet::World> {
+    return std::make_unique<IdsUnlockWorld>(shared->at(spec.arm), spec, registry);
   };
 }
 
-std::vector<ArmIdsReport> merge_evals(const fleet::TrialPlan& plan,
-                                      std::span<const TrialEval> evals) {
+void append_eval_findings(fuzzer::CampaignResult& result, const TrialEval& eval,
+                          sim::SimTime time, std::string generator, std::uint64_t seed) {
+  const auto record = [&](std::string line) {
+    fuzzer::Finding finding;
+    finding.observation = {oracle::Verdict::kNominal, std::move(line), time};
+    finding.frames_sent = result.frames_sent;
+    finding.generator = generator;
+    finding.seed = seed;
+    result.findings.push_back(std::move(finding));
+  };
+  record(encode_eval_totals(eval));
+  for (const DetectorEval& detector : eval.detectors) record(encode_detector_eval(detector));
+}
+
+void publish_trial_metrics(metrics::Registry& registry, const sim::Scheduler& scheduler,
+                           std::initializer_list<const can::VirtualBus*> buses,
+                           Pipeline& pipeline, const TrialEval& eval) {
+  scheduler.publish_metrics(registry);
+  for (const can::VirtualBus* bus : buses) bus->publish_metrics(registry);
+  registry.absorb(pipeline.registry().snapshot());
+  for (const DetectorEval& detector : eval.detectors) {
+    if (detector.detection_latency >= 0.0) {
+      registry.timer("ids.latency." + detector.name).record(detector.detection_latency);
+    }
+  }
+}
+
+TrialEval eval_from_outcome(const fleet::TrialOutcome& outcome) {
+  TrialEval eval;
+  if (!outcome.completed()) return eval;
+  for (const std::string& line : outcome.findings) decode_eval_line(line, eval);
+  return eval;
+}
+
+std::vector<ArmIdsReport> merge_outcome_evals(const fleet::TrialPlan& plan,
+                                              std::span<const fleet::TrialOutcome> outcomes) {
+  std::vector<TrialEval> evals(plan.trial_count());
+  for (const fleet::TrialOutcome& outcome : outcomes) {
+    if (outcome.spec.trial_index < evals.size()) {
+      evals[outcome.spec.trial_index] = eval_from_outcome(outcome);
+    }
+  }
   std::vector<ArmIdsReport> reports(plan.arm_count());
   for (std::size_t arm = 0; arm < plan.arm_count(); ++arm) {
     reports[arm].label = plan.arm_label(arm);
   }
-  for (std::size_t index = 0; index < evals.size() && index < plan.trial_count(); ++index) {
+  for (std::size_t index = 0; index < evals.size(); ++index) {
     const TrialEval& eval = evals[index];
-    if (!eval.valid()) continue;  // failed or skipped trial left its slot empty
+    if (!eval.valid()) continue;  // failed, skipped or digest-less trial
     ArmIdsReport& report = reports[plan.spec(index).arm];
     if (report.detectors.empty()) report.detectors.resize(eval.detectors.size());
     ++report.trials;

@@ -5,22 +5,29 @@
 // clean training window runs, and which detectors the pipeline carries.
 // ids_unlock_world_factory builds one isolated Table V world per trial with
 // a pipeline tapped onto the bench bus: the world trains on clean ECU
-// traffic, freezes the models, then fuzzes with ground-truth labeling.  Each
-// trial's TrialEval lands in the slot of a pre-sized sink vector owned by
-// the caller (slot-per-trial, the executor's own outcome pattern — no locks,
-// and the merged report is a pure function of the plan).
+// traffic, freezes the models, then fuzzes with ground-truth labeling.
+//
+// Every IDS world (these and the attack catalog's) ships its TrialEval as
+// digest findings in its own outcome (ids/eval_codec.hpp), and
+// merge_outcome_evals rebuilds the per-arm reports from the outcome list —
+// so the merged report is a pure function of the plan, whatever executor,
+// thread count or wire produced the outcomes.
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "can/bus.hpp"
 #include "fleet/trial.hpp"
 #include "fleet/trial_plan.hpp"
 #include "fleet/worlds.hpp"
 #include "ids/evaluation.hpp"
 #include "ids/pipeline.hpp"
+#include "sim/scheduler.hpp"
 #include "util/stats.hpp"
 
 namespace acf::ids {
@@ -42,25 +49,32 @@ struct IdsArm {
   DetectorSetFactory detectors;
 };
 
-/// Per-trial evaluation slots, one per TrialPlan index.  Create with
-/// make_eval_sink(plan) and pass to the factory; read after Executor::run
-/// returns (the join gives the happens-before edge).
-using EvalSink = std::shared_ptr<std::vector<TrialEval>>;
-
-EvalSink make_eval_sink(const fleet::TrialPlan& plan);
-
 /// WorldFactory for the detector-evaluation unlock worlds.  The campaign
 /// stops at the first unlock (the Table V endpoint); detector metrics cover
-/// every frame scored until then.
+/// every frame scored until then, and reach the outcome as digest findings
+/// appended after the campaign (so time-to-failure is the unlock's).
 ///
-/// When `registry` is non-null each world publishes, once at trial end:
-/// its scheduler/bus totals (`sim.scheduler.*`, `can.bus.*`), the
+/// When `registry` is non-null each world calls publish_trial_metrics into
+/// it at trial end.  The registry must outlive every world.
+fleet::WorldFactory ids_unlock_world_factory(std::vector<IdsArm> arms,
+                                             metrics::Registry* registry = nullptr);
+
+/// Appends `eval` to `result` as nominal digest findings stamped at `time`:
+/// the totals line, then one line per detector.  Nominal verdicts leave
+/// first_failure() and the outcome's time-to-failure untouched.
+void append_eval_findings(fuzzer::CampaignResult& result, const TrialEval& eval,
+                          sim::SimTime time, std::string generator, std::uint64_t seed);
+
+/// The end-of-trial publish every IDS world makes when given a registry:
+/// scheduler and bus totals (`sim.scheduler.*`, `can.bus.*`), the
 /// pipeline's counters (`ids.pipeline.*`, `ids.alerts.<detector>`), and one
 /// `ids.latency.<detector>` timer sample per detector that fired on attack
 /// traffic — so the registry's p99 is the fleet-wide detection-latency
-/// quantile.  The registry must outlive every world.
-fleet::WorldFactory ids_unlock_world_factory(std::vector<IdsArm> arms, EvalSink sink,
-                                             metrics::Registry* registry = nullptr);
+/// quantile.  Published once per trial, so the shared registry's counters
+/// are order-independent sums.
+void publish_trial_metrics(metrics::Registry& registry, const sim::Scheduler& scheduler,
+                           std::initializer_list<const can::VirtualBus*> buses,
+                           Pipeline& pipeline, const TrialEval& eval);
 
 /// Merged per-arm, per-detector fleet report.
 struct ArmIdsReport {
@@ -88,9 +102,14 @@ struct ArmIdsReport {
   std::vector<PerDetector> detectors;
 };
 
-/// Folds the sink's evaluations in trial-index order — byte-identical
-/// whatever thread count produced them.
-std::vector<ArmIdsReport> merge_evals(const fleet::TrialPlan& plan,
-                                      std::span<const TrialEval> evals);
+/// Decodes the evaluation an IDS world left in `outcome`'s digest findings
+/// (invalid when the trial did not complete or carried no digest).
+TrialEval eval_from_outcome(const fleet::TrialOutcome& outcome);
+
+/// Rebuilds per-arm reports from the outcomes' digest findings, folding in
+/// trial-index order — the same merged report whatever executor, thread
+/// count or wire produced the outcomes.
+std::vector<ArmIdsReport> merge_outcome_evals(const fleet::TrialPlan& plan,
+                                              std::span<const fleet::TrialOutcome> outcomes);
 
 }  // namespace acf::ids

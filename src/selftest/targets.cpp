@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -23,6 +24,7 @@
 #include "feedback/corpus.hpp"
 #include "fleet/remote/wire.hpp"
 #include "fuzzer/checkpoint.hpp"
+#include "ids/eval_codec.hpp"
 #include "isotp/isotp.hpp"
 #include "metrics/snapshot.hpp"
 #include "sim/scheduler.hpp"
@@ -938,6 +940,157 @@ Verdict run_attack_config(Bytes input) {
   return std::nullopt;
 }
 
+// ---------------------------------------------------------------------------
+// ids_eval: the ids-eval/1 digest codec (ids/eval_codec.hpp) — the text a
+// fleet trial's detector evaluation rides in from a remote worker.  Every
+// input is decoded as a line, and also seeds a generated evaluation.
+// [M] whatever is rejected leaves the evaluation untouched.
+// [S] accepted doubles are finite and every accepted count fits 64 bits
+//     (a wrapped count would be silently wrong, not rejected).
+// [F] an accepted line re-encodes to its canonical payload, which decodes
+//     to the same evaluation and re-encodes byte-identically.
+// [R] decode∘encode = id on generated evaluations, histogram edge bins 0
+//     and 255 included.
+// The encoding is injective on finite values (%.17g doubles, canonical
+// sparse bins), so equal digest lines mean equal evaluations.
+
+std::vector<std::string> digest_lines(const ids::TrialEval& eval) {
+  std::vector<std::string> lines = {ids::encode_eval_totals(eval)};
+  for (const ids::DetectorEval& det : eval.detectors) {
+    lines.push_back(ids::encode_detector_eval(det));
+  }
+  return lines;
+}
+
+bool fits_u64(std::string_view digits) {
+  std::uint64_t value = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [stop, error] = std::from_chars(digits.data(), end, value);
+  return error == std::errc() && stop == end;
+}
+
+/// The value of the first nonempty `key=` token after the digest marker —
+/// the token the decoder reads.
+std::string_view digest_field(std::string_view line, std::string_view key) {
+  std::string_view text = line.substr(line.find(ids::kEvalDigestMarker));
+  while (!text.empty()) {
+    const std::size_t space = text.find(' ');
+    const std::string_view token = text.substr(0, space);
+    if (token.size() > key.size() + 1 && token.starts_with(key) && token[key.size()] == '=') {
+      return token.substr(key.size() + 1);
+    }
+    if (space == std::string_view::npos) break;
+    text.remove_prefix(space + 1);
+  }
+  return {};
+}
+
+/// Every count the decoder read from an accepted `line`: the scalar counts
+/// and, on a det line, each bin:count pair of both histograms.
+bool counts_fit_u64(std::string_view line, bool det_line) {
+  static constexpr std::string_view kTotals[] = {"attack", "legit",      "trained", "scored",
+                                                 "raised", "suppressed", "dropped"};
+  static constexpr std::string_view kDet[] = {"tp", "fp", "tn", "fn"};
+  for (const std::string_view key : det_line ? std::span<const std::string_view>(kDet)
+                                             : std::span<const std::string_view>(kTotals)) {
+    if (!fits_u64(digest_field(line, key))) return false;
+  }
+  for (const std::string_view key : {"ab", "lb"}) {
+    std::string_view bins = digest_field(line, key);
+    if (!det_line || bins == "-") continue;
+    while (true) {
+      const std::size_t comma = bins.find(',');
+      const std::string_view pair = bins.substr(0, comma);
+      const std::size_t colon = pair.find(':');
+      if (!fits_u64(pair.substr(0, colon)) || !fits_u64(pair.substr(colon + 1))) return false;
+      if (comma == std::string_view::npos) break;
+      bins.remove_prefix(comma + 1);
+    }
+  }
+  return true;
+}
+
+ids::TrialEval random_trial_eval(util::Rng& rng) {
+  const double specials[] = {0.0, -0.0, 1.0, -1.0, 0.5, 4.9406564584124654e-324,
+                             1.7976931348623157e308, -2.2250738585072014e-308};
+  const auto pick_double = [&] {
+    return rng.next_bool() ? specials[rng.next_below(std::size(specials))]
+                           : finite_double(rng) * (rng.next_bool() ? 1.0 : -1e-9);
+  };
+  const auto pick_count = [&] {
+    return rng.next_bool() ? rng.next_u64() : rng.next_below(1000);
+  };
+  ids::TrialEval eval;
+  eval.attack_frames = pick_count();
+  eval.legit_frames = pick_count();
+  eval.pipeline = {pick_count(), pick_count(), pick_count(), pick_count(), pick_count()};
+  static constexpr std::string_view kNameChars = "abcdefghijklmnopqrstuvwxyz0123456789_-.";
+  for (auto detectors = rng.next_below(6); detectors > 0; --detectors) {
+    ids::DetectorEval det;
+    for (auto length = 1 + rng.next_below(12); length > 0; --length) {
+      det.name += kNameChars[rng.next_below(kNameChars.size())];
+    }
+    det.threshold = pick_double();
+    det.detection_latency = rng.next_bool() ? -1.0 : pick_double();
+    det.tp = pick_count();
+    det.fp = pick_count();
+    det.tn = pick_count();
+    det.fn = pick_count();
+    for (std::vector<std::uint64_t>* bins : {&det.attack_bins, &det.legit_bins}) {
+      for (auto filled = rng.next_below(5); filled > 0; --filled) {
+        const std::uint64_t edge = rng.next_bool() ? 0 : ids::DetectorEval::kBins - 1;
+        (*bins)[rng.next_bool() ? edge : rng.next_below(ids::DetectorEval::kBins)] =
+            pick_count();
+      }
+    }
+    eval.detectors.push_back(std::move(det));
+  }
+  return eval;
+}
+
+Verdict run_ids_eval(Bytes input) {
+  const std::string_view line = as_text(input);
+  ids::TrialEval sentinel;
+  sentinel.attack_frames = 11;
+  sentinel.pipeline.alerts_dropped = 13;
+  ids::TrialEval eval = sentinel;
+  if (!ids::decode_eval_line(line, eval)) {
+    if (digest_lines(eval) != digest_lines(sentinel)) {
+      return "rejected line changed the evaluation";
+    }
+  } else {
+    // A totals line overwrites the sentinel's counters; a det line appends.
+    const bool det_line = !eval.detectors.empty();
+    if (det_line && (!std::isfinite(eval.detectors[0].threshold) ||
+                     !std::isfinite(eval.detectors[0].detection_latency))) {
+      return "accepted a non-finite threshold or latency";
+    }
+    if (!counts_fit_u64(line, det_line)) return "accepted a count past 2^64 - 1";
+    const std::string canonical = digest_lines(eval)[det_line ? 1 : 0];
+    ids::TrialEval again = sentinel;
+    if (!ids::decode_eval_line(canonical, again)) {
+      return "accepted line re-encoded to a payload the decoder rejects";
+    }
+    if (digest_lines(again) != digest_lines(eval)) {
+      return "canonical payload is not a fixed point";
+    }
+  }
+
+  // [R] generated evaluations, shipped the way a world ships them: every
+  // other line behind a finding-summary prefix.
+  util::Rng rng(util::fnv1a(util::kFnv1aOffset, line) ^ 0x1DE7A1ULL);
+  const ids::TrialEval generated = random_trial_eval(rng);
+  const std::vector<std::string> lines = digest_lines(generated);
+  ids::TrialEval decoded;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string shipped =
+        i % 2 == 1 ? "[nominal] t=12.000 ms after 7 frames: " + lines[i] : lines[i];
+    if (!ids::decode_eval_line(shipped, decoded)) return "encoded digest line rejected";
+  }
+  if (digest_lines(decoded) != lines) return "decode(encode(eval)) != eval";
+  return std::nullopt;
+}
+
 std::vector<FuzzTarget> make_targets() {
   return {
       {"checkpoint", "CampaignCheckpoint::deserialize on arbitrary text", run_checkpoint},
@@ -959,6 +1112,7 @@ std::vector<FuzzTarget> make_targets() {
        run_corpus_file},
       {"attack_config", "attack-scenario spec codec strict decode + round-trip",
        run_attack_config},
+      {"ids_eval", "ids-eval/1 digest codec strict decode + round-trip", run_ids_eval},
   };
 }
 

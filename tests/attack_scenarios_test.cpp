@@ -259,7 +259,7 @@ TEST(AttackDeterminism, OutcomesAndMatrixIdenticalAcrossThreadCounts) {
     fingerprints.push_back(outcome_fingerprint(outcomes));
 
     std::ostringstream matrix;
-    for (const ids::ArmIdsReport& report : merge_outcome_evals(plan, outcomes)) {
+    for (const ids::ArmIdsReport& report : ids::merge_outcome_evals(plan, outcomes)) {
       matrix << report.label << ' ' << report.attack_frames << ' ' << report.legit_frames;
       for (const ids::ArmIdsReport::PerDetector& det : report.detectors) {
         matrix << ' ' << det.merged.name << ':' << det.merged.tp << '/' << det.merged.fp

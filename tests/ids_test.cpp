@@ -17,9 +17,11 @@
 
 #include "dbc/target_vehicle_db.hpp"
 #include "fleet/executor.hpp"
+#include "fleet/jsonl.hpp"
 #include "fuzzer/generator.hpp"
 #include "ids/alert_oracle.hpp"
 #include "ids/detectors.hpp"
+#include "ids/eval_codec.hpp"
 #include "ids/evaluation.hpp"
 #include "ids/ids_world.hpp"
 #include "ids/pipeline.hpp"
@@ -550,6 +552,67 @@ TEST(IdsReplay, CleanCandumpReplayRaisesNoAlerts) {
   }
 }
 
+// ----------------------------------------------------------- eval codec -----
+
+TEST(IdsEvalCodec, RejectsCountsPastUint64AndLeavesEvalUnchanged) {
+  TrialEval eval;
+  ASSERT_TRUE(decode_eval_line(
+      "ids-eval/1 totals attack=18446744073709551615 legit=2 trained=3 scored=4 raised=5 "
+      "suppressed=6 dropped=7",
+      eval));
+  EXPECT_EQ(eval.attack_frames, 18446744073709551615ULL);
+  // 2^64 + 1 used to wrap to 1.
+  EXPECT_FALSE(decode_eval_line(
+      "ids-eval/1 totals attack=18446744073709551617 legit=2 trained=3 scored=4 raised=5 "
+      "suppressed=6 dropped=7",
+      eval));
+  EXPECT_FALSE(decode_eval_line(
+      "ids-eval/1 det name=x thr=0.5 tp=99999999999999999999 fp=0 tn=0 fn=0 lat=-1 ab=- "
+      "lb=-",
+      eval));
+  EXPECT_FALSE(decode_eval_line(
+      "ids-eval/1 det name=x thr=0.5 tp=0 fp=0 tn=0 fn=0 lat=-1 ab=7:18446744073709551616 "
+      "lb=-",
+      eval));
+  EXPECT_EQ(eval.attack_frames, 18446744073709551615ULL);
+  EXPECT_EQ(eval.legit_frames, 2u);
+  EXPECT_TRUE(eval.detectors.empty());
+}
+
+TEST(IdsEvalCodec, RejectsNonFiniteThresholdAndLatency) {
+  TrialEval eval;
+  EXPECT_FALSE(decode_eval_line(
+      "ids-eval/1 det name=x thr=nan tp=1 fp=2 tn=3 fn=4 lat=inf ab=- lb=-", eval));
+  EXPECT_FALSE(decode_eval_line(
+      "ids-eval/1 det name=x thr=nan tp=1 fp=2 tn=3 fn=4 lat=0.25 ab=- lb=-", eval));
+  EXPECT_FALSE(decode_eval_line(
+      "ids-eval/1 det name=x thr=0.5 tp=1 fp=2 tn=3 fn=4 lat=inf ab=- lb=-", eval));
+  EXPECT_FALSE(decode_eval_line(
+      "ids-eval/1 det name=x thr=0.5 tp=1 fp=2 tn=3 fn=4 lat=1e999 ab=- lb=-", eval));
+  EXPECT_TRUE(eval.detectors.empty());
+  // The same line with finite values decodes, subnormals included.
+  ASSERT_TRUE(decode_eval_line(
+      "ids-eval/1 det name=x thr=0.5 tp=1 fp=2 tn=3 fn=4 lat=4.9406564584124654e-324 "
+      "ab=0:1,255:2 lb=-",
+      eval));
+  ASSERT_EQ(eval.detectors.size(), 1u);
+  EXPECT_EQ(eval.detectors[0].detection_latency, 4.9406564584124654e-324);
+  EXPECT_EQ(eval.detectors[0].attack_bins[0], 1u);
+  EXPECT_EQ(eval.detectors[0].attack_bins[255], 2u);
+}
+
+TEST(IdsEvalCodec, RejectsMalformedHistograms) {
+  TrialEval eval;
+  const char* const lines[] = {
+      "ids-eval/1 det name=x thr=0.5 tp=0 fp=0 tn=0 fn=0 lat=-1 ab=256:1 lb=-",
+      "ids-eval/1 det name=x thr=0.5 tp=0 fp=0 tn=0 fn=0 lat=-1 ab=1:1, lb=-",
+      "ids-eval/1 det name=x thr=0.5 tp=0 fp=0 tn=0 fn=0 lat=-1 ab=1 lb=-",
+      "ids-eval/1 det name=x thr=0.5 tp=0 fp=0 tn=0 fn=0 lat=-1 lb=-",
+  };
+  for (const char* line : lines) EXPECT_FALSE(decode_eval_line(line, eval)) << line;
+  EXPECT_TRUE(eval.detectors.empty());
+}
+
 // ----------------------------------------------------------- fleet eval -----
 
 /// Fast detector-evaluation fleet: reduced id window at 4 kHz so the unlock
@@ -574,12 +637,11 @@ TEST(IdsFleet, EvaluationIsThreadCountInvariant) {
     config.threads = threads;
     config.progress_period = std::chrono::milliseconds(0);
     fleet::Executor executor(config);
-    EvalSink sink = make_eval_sink(plan);
-    const auto outcomes = executor.run(plan, ids_unlock_world_factory(fast_ids_arms(), sink));
+    const auto outcomes = executor.run(plan, ids_unlock_world_factory(fast_ids_arms()));
     for (const auto& outcome : outcomes) {
       EXPECT_EQ(outcome.status, fleet::TrialStatus::kCompleted);
     }
-    const std::vector<ArmIdsReport> reports = merge_evals(plan, *sink);
+    const std::vector<ArmIdsReport> reports = merge_outcome_evals(plan, outcomes);
     ASSERT_EQ(reports.size(), 2u);
     if (threads == 1) {
       reference = reports;
@@ -617,10 +679,9 @@ TEST(IdsFleet, EvaluationIsThreadCountInvariant) {
 TEST(IdsFleet, AllowlistCatchesBlindFuzzWithHighRecall) {
   const fleet::TrialPlan plan({"weak"}, 2, 0xACF17EE7ULL, std::chrono::minutes(5));
   fleet::Executor executor({.threads = 2, .progress_period = std::chrono::milliseconds(0)});
-  EvalSink sink = make_eval_sink(plan);
   std::vector<IdsArm> arms = {fast_ids_arms()[0]};
-  executor.run(plan, ids_unlock_world_factory(std::move(arms), sink));
-  const std::vector<ArmIdsReport> reports = merge_evals(plan, *sink);
+  const std::vector<ArmIdsReport> reports =
+      merge_outcome_evals(plan, executor.run(plan, ids_unlock_world_factory(std::move(arms))));
   ASSERT_EQ(reports.size(), 1u);
   ASSERT_EQ(reports[0].detectors.size(), 4u);
   const ArmIdsReport::PerDetector& allowlist = reports[0].detectors[0];
@@ -634,6 +695,39 @@ TEST(IdsFleet, AllowlistCatchesBlindFuzzWithHighRecall) {
   const util::Interval ci = allowlist.detection_rate_ci(reports[0].trials);
   EXPECT_GT(ci.lo, 0.2);
   EXPECT_GT(ci.hi, 0.99);
+}
+
+TEST(IdsFleet, OutcomesCarryConsistentEvalsAndExportIdenticallyAcrossThreads) {
+  const fleet::TrialPlan plan({"weak", "hardened"}, 3, 0xACF17EE7ULL,
+                              std::chrono::minutes(5));
+  std::vector<std::string> exports;
+  for (const unsigned threads : {1u, 4u}) {
+    fleet::Executor executor({.threads = threads,
+                              .progress_period = std::chrono::milliseconds(0)});
+    const auto outcomes = executor.run(plan, ids_unlock_world_factory(fast_ids_arms()));
+    std::ostringstream jsonl;
+    fleet::JsonlExporter(jsonl).write_all(plan, outcomes);
+    exports.push_back(jsonl.str());
+
+    ASSERT_EQ(outcomes.size(), plan.trial_count());
+    for (const fleet::TrialOutcome& outcome : outcomes) {
+      ASSERT_TRUE(outcome.completed());
+      // The unlock still ends the trial: the digest findings that follow
+      // it are nominal and leave time-to-failure on the unlock.
+      EXPECT_TRUE(outcome.failure_detected()) << outcome.spec.trial_index;
+      const TrialEval eval = eval_from_outcome(outcome);
+      ASSERT_TRUE(eval.valid()) << outcome.spec.trial_index;
+      std::uint64_t over_threshold = 0;
+      for (const DetectorEval& det : eval.detectors) over_threshold += det.tp + det.fp;
+      EXPECT_EQ(eval.pipeline.frames_scored, eval.attack_frames + eval.legit_frames)
+          << outcome.spec.trial_index;
+      EXPECT_EQ(eval.pipeline.alerts_raised + eval.pipeline.alerts_suppressed,
+                over_threshold)
+          << outcome.spec.trial_index;
+    }
+  }
+  EXPECT_EQ(exports[0], exports[1]);
+  EXPECT_FALSE(exports[0].empty());
 }
 
 }  // namespace

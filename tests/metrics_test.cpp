@@ -361,7 +361,7 @@ TEST(MetricsStats, InPlacePercentileMatchesTheCopyingVersion) {
 
 /// The ISSUE acceptance check: after an IDS fleet campaign, the registry's
 /// `ids.latency.<detector>` p99 must sit within the CKMS rank-error bound of
-/// the exact sorted per-trial detection latencies held by the EvalSink.
+/// the exact sorted per-trial detection latencies decoded from the outcomes.
 TEST(MetricsAcceptance, ReportedDetectionLatencyQuantilesMatchExactSortWithinEpsilon) {
   fuzzer::FuzzConfig fast = fuzzer::FuzzConfig::around_id(0x215, 3);
   fast.tx_period = std::chrono::microseconds(250);
@@ -371,18 +371,17 @@ TEST(MetricsAcceptance, ReportedDetectionLatencyQuantilesMatchExactSortWithinEps
   const fleet::TrialPlan plan({"weak"}, 6, 0xACF17EE7ULL, std::chrono::minutes(5));
 
   Registry registry;
-  ids::EvalSink sink = ids::make_eval_sink(plan);
   fleet::ExecutorConfig config;
   config.threads = 2;
   config.progress_period = std::chrono::milliseconds(0);
   config.registry = &registry;
   fleet::Executor executor(config);
-  executor.run(plan, ids::ids_unlock_world_factory({arm}, sink, &registry));
+  const auto outcomes = executor.run(plan, ids::ids_unlock_world_factory({arm}, &registry));
 
-  // Exact per-detector latency lists straight from the evaluation slots.
+  // Exact per-detector latency lists decoded from each trial's outcome.
   std::map<std::string, std::vector<double>> exact;
-  for (const ids::TrialEval& eval : *sink) {
-    for (const ids::DetectorEval& det : eval.detectors) {
+  for (const fleet::TrialOutcome& outcome : outcomes) {
+    for (const ids::DetectorEval& det : ids::eval_from_outcome(outcome).detectors) {
       if (det.detection_latency >= 0.0) exact[det.name].push_back(det.detection_latency);
     }
   }
