@@ -3,7 +3,7 @@
 // it unfiltered ("the vehicle simulation handles physically invalid values
 // in the same way as physically plausible ones").
 #include "bench_util.hpp"
-#include "util/hex.hpp"
+#include "util/codec.hpp"
 
 int main() {
   using namespace acf;

@@ -3,7 +3,7 @@
 #include "analysis/report.hpp"
 #include "bench_util.hpp"
 #include "trace/capture.hpp"
-#include "util/hex.hpp"
+#include "util/codec.hpp"
 
 int main() {
   using namespace acf;

@@ -3,7 +3,7 @@
 // endpoint — service discovery, DID sweep, random request fuzz.
 #include "analysis/report.hpp"
 #include "fuzzer/uds_fuzzer.hpp"
-#include "util/hex.hpp"
+#include "util/codec.hpp"
 #include "bench_util.hpp"
 
 int main() {

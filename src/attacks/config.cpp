@@ -1,5 +1,7 @@
 #include "attacks/config.hpp"
 
+#include "util/codec.hpp"
+
 namespace acf::attacks {
 
 const char* to_string(AttackFamily family) noexcept {
@@ -22,25 +24,7 @@ const char* to_string(AttackBus bus) noexcept {
   return bus == AttackBus::kPowertrain ? "powertrain" : "body";
 }
 
-namespace {
-
 constexpr std::uint8_t kVersion = 1;
-
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-}
-
-std::uint32_t get_le32(std::span<const std::uint8_t> bytes, std::size_t at) {
-  return static_cast<std::uint32_t>(bytes[at]) |
-         static_cast<std::uint32_t>(bytes[at + 1]) << 8 |
-         static_cast<std::uint32_t>(bytes[at + 2]) << 16 |
-         static_cast<std::uint32_t>(bytes[at + 3]) << 24;
-}
-
-}  // namespace
 
 bool attack_spec_valid(const AttackSpec& spec) noexcept {
   if (static_cast<std::uint8_t>(spec.family) >= kAttackFamilyCount) return false;
@@ -56,32 +40,30 @@ bool attack_spec_valid(const AttackSpec& spec) noexcept {
 }
 
 std::vector<std::uint8_t> encode_attack_spec(const AttackSpec& spec) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kAttackSpecBytes);
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(spec.family));
-  out.push_back(static_cast<std::uint8_t>(spec.bus));
-  out.push_back(spec.payload_len);
-  put_le32(out, spec.target_id);
-  put_le32(out, spec.period_us);
-  out.push_back(static_cast<std::uint8_t>(spec.burst));
-  out.push_back(static_cast<std::uint8_t>(spec.burst >> 8));
-  out.insert(out.end(), spec.payload.begin(), spec.payload.end());
-  return out;
+  util::ByteWriter out;
+  out.u8(kVersion);
+  out.u8(static_cast<std::uint8_t>(spec.family));
+  out.u8(static_cast<std::uint8_t>(spec.bus));
+  out.u8(spec.payload_len);
+  out.u32(spec.target_id);
+  out.u32(spec.period_us);
+  out.u16(spec.burst);
+  for (const std::uint8_t byte : spec.payload) out.u8(byte);
+  return out.take();
 }
 
 std::optional<AttackSpec> decode_attack_spec(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() != kAttackSpecBytes) return std::nullopt;
-  if (bytes[0] != kVersion) return std::nullopt;
+  util::ByteReader in(bytes);
+  if (in.u8() != kVersion) return std::nullopt;
   AttackSpec spec;
-  spec.family = static_cast<AttackFamily>(bytes[1]);
-  spec.bus = static_cast<AttackBus>(bytes[2]);
-  spec.payload_len = bytes[3];
-  spec.target_id = get_le32(bytes, 4);
-  spec.period_us = get_le32(bytes, 8);
-  spec.burst = static_cast<std::uint16_t>(bytes[12] | bytes[13] << 8);
-  for (std::size_t i = 0; i < spec.payload.size(); ++i) spec.payload[i] = bytes[14 + i];
-  if (!attack_spec_valid(spec)) return std::nullopt;
+  spec.family = static_cast<AttackFamily>(in.u8());
+  spec.bus = static_cast<AttackBus>(in.u8());
+  spec.payload_len = in.u8();
+  spec.target_id = in.u32();
+  spec.period_us = in.u32();
+  spec.burst = in.u16();
+  for (std::uint8_t& byte : spec.payload) byte = in.u8();
+  if (!in.done() || !attack_spec_valid(spec)) return std::nullopt;
   return spec;
 }
 

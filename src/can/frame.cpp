@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "util/hex.hpp"
+#include "util/codec.hpp"
 
 namespace acf::can {
 

@@ -2,7 +2,10 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+
+#include "util/codec.hpp"
 
 namespace acf::dbc {
 
@@ -18,30 +21,14 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-/// Consumes the next whitespace-delimited token.
-std::string_view next_token(std::string_view& s) {
-  s = trim(s);
-  std::size_t end = 0;
-  while (end < s.size() && s[end] != ' ' && s[end] != '\t') ++end;
-  const std::string_view token = s.substr(0, end);
-  s.remove_prefix(end);
-  return token;
-}
+using util::next_token;
 
+/// A canonical decimal token that fits T.
 template <typename T>
-bool parse_number(std::string_view token, T& out) {
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
-bool parse_double(std::string_view token, double& out) {
-  // from_chars for double is available in libstdc++ 11+; keep it simple.
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
+std::optional<T> parse_unsigned(std::string_view token) {
+  const std::optional<std::uint64_t> value = util::parse_u64(token);
+  if (!value || *value > std::numeric_limits<T>::max()) return std::nullopt;
+  return static_cast<T>(*value);
 }
 
 struct SignalLine {
@@ -78,16 +65,14 @@ SignalLine parse_signal(std::string_view rest) {
     out.error = "bad layout '" + std::string(layout) + "'";
     return out;
   }
-  std::uint16_t start = 0;
-  std::uint16_t length = 0;
-  if (!parse_number(layout.substr(0, pipe), start) ||
-      !parse_number(layout.substr(pipe + 1, at - pipe - 1), length) || length == 0 ||
-      length > 64) {
+  const auto start = parse_unsigned<std::uint16_t>(layout.substr(0, pipe));
+  const auto length = parse_unsigned<std::uint16_t>(layout.substr(pipe + 1, at - pipe - 1));
+  if (!start || !length || *length == 0 || *length > 64) {
     out.error = "bad start/length in '" + std::string(layout) + "'";
     return out;
   }
-  out.def.start_bit = start;
-  out.def.bit_length = length;
+  out.def.start_bit = *start;
+  out.def.bit_length = *length;
   const char order = layout[at + 1];
   out.def.byte_order = (order == '1') ? ByteOrder::kLittleEndian : ByteOrder::kBigEndian;
   if (at + 2 < layout.size()) out.def.is_signed = layout[at + 2] == '-';
@@ -97,15 +82,16 @@ SignalLine parse_signal(std::string_view rest) {
   if (factors.size() >= 3 && factors.front() == '(' && factors.back() == ')') {
     const std::string_view inner = factors.substr(1, factors.size() - 2);
     const std::size_t comma = inner.find(',');
-    double scale = 1.0;
-    double offset = 0.0;
-    if (comma == std::string_view::npos || !parse_double(inner.substr(0, comma), scale) ||
-        !parse_double(inner.substr(comma + 1), offset)) {
+    const auto scale = util::parse_finite_double(inner.substr(0, comma));
+    const auto offset = comma == std::string_view::npos
+                            ? std::nullopt
+                            : util::parse_finite_double(inner.substr(comma + 1));
+    if (!scale || !offset) {
       out.error = "bad factors '" + std::string(factors) + "'";
       return out;
     }
-    out.def.scale = scale;
-    out.def.offset = offset;
+    out.def.scale = *scale;
+    out.def.offset = *offset;
   }
 
   // [min|max]
@@ -113,15 +99,16 @@ SignalLine parse_signal(std::string_view rest) {
   if (range.size() >= 3 && range.front() == '[' && range.back() == ']') {
     const std::string_view inner = range.substr(1, range.size() - 2);
     const std::size_t pipe2 = inner.find('|');
-    double lo = 0.0;
-    double hi = 0.0;
-    if (pipe2 == std::string_view::npos || !parse_double(inner.substr(0, pipe2), lo) ||
-        !parse_double(inner.substr(pipe2 + 1), hi)) {
+    const auto lo = util::parse_finite_double(inner.substr(0, pipe2));
+    const auto hi = pipe2 == std::string_view::npos
+                        ? std::nullopt
+                        : util::parse_finite_double(inner.substr(pipe2 + 1));
+    if (!lo || !hi) {
       out.error = "bad range '" + std::string(range) + "'";
       return out;
     }
-    out.def.min = lo;
-    out.def.max = hi;
+    out.def.min = *lo;
+    out.def.max = *hi;
   }
 
   // "unit"
@@ -183,20 +170,20 @@ ParseResult parse_dbc(std::string_view text) {
       std::string_view name_token = next_token(s);
       const std::string_view dlc_token = next_token(s);
       const std::string_view sender = next_token(s);
-      std::uint32_t id = 0;
-      std::uint32_t dlc = 0;
-      if (!parse_number(id_token, id) || name_token.empty() || !parse_number(dlc_token, dlc) ||
-          dlc > can::kMaxClassicPayload) {
+      const auto id_field = parse_unsigned<std::uint32_t>(id_token);
+      const auto dlc = parse_unsigned<std::uint8_t>(dlc_token);
+      if (!id_field || name_token.empty() || !dlc || *dlc > can::kMaxClassicPayload) {
         result.errors.push_back("line " + std::to_string(line_no) + ": bad BO_ line");
         continue;
       }
+      const std::uint32_t id = *id_field;
       if (name_token.back() == ':') name_token.remove_suffix(1);
       // Bit 31 set marks an extended id in DBC files.
       current.format =
           (id & 0x80000000u) != 0 ? can::IdFormat::kExtended : can::IdFormat::kStandard;
       current.id = id & 0x1FFFFFFFu;
       current.name = std::string(name_token);
-      current.dlc = static_cast<std::uint8_t>(dlc);
+      current.dlc = *dlc;
       current.sender = std::string(sender);
       in_message = true;
     } else if (keyword == "SG_") {
@@ -223,13 +210,13 @@ ParseResult parse_dbc(std::string_view text) {
         const std::string_view id_token = next_token(s);
         std::string_view value_token = next_token(s);
         if (!value_token.empty() && value_token.back() == ';') value_token.remove_suffix(1);
-        std::uint32_t id = 0;
-        std::uint32_t ms = 0;
-        if (kind == "BO_" && parse_number(id_token, id) && parse_number(value_token, ms)) {
+        const auto id = parse_unsigned<std::uint32_t>(id_token);
+        const auto ms = parse_unsigned<std::uint32_t>(value_token);
+        if (kind == "BO_" && id && ms) {
           flush();  // attributes come after all BO_ blocks; close any open one
-          if (const MessageDef* existing = result.database.by_id(id & 0x1FFFFFFFu)) {
+          if (const MessageDef* existing = result.database.by_id(*id & 0x1FFFFFFFu)) {
             MessageDef updated = *existing;
-            updated.cycle_time_ms = ms;
+            updated.cycle_time_ms = *ms;
             result.database.add(std::move(updated));
           }
         }

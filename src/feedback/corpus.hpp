@@ -15,7 +15,7 @@
 //  * a versioned on-disk format — magic + version, every count bounded and
 //    validated BEFORE allocation, strict full consumption, canonical
 //    encoding so decode∘encode is the identity on everything accepted
-//    (the same hardened byte-reader discipline as the fleet wire protocol,
+//    (util::ByteReader, the byte cursor under the fleet wire protocol too,
 //    DESIGN.md §13; the `corpus_file` self-fuzz target hammers it).
 #pragma once
 

@@ -1,7 +1,5 @@
 #include "fleet/aggregator.hpp"
 
-#include <algorithm>
-
 namespace acf::fleet {
 
 double ArmReport::median() const {
@@ -14,7 +12,7 @@ void ArmReport::finalize_median() {
   median_cached = true;
 }
 
-Aggregator::Aggregator(const TrialPlan& plan) {
+Aggregator::Aggregator(const TrialPlan& plan) : finding_slots_(plan.arm_count()) {
   report_.arms.resize(plan.arm_count());
   for (std::size_t arm = 0; arm < plan.arm_count(); ++arm) {
     report_.arms[arm].label = plan.arm_label(arm);
@@ -51,13 +49,13 @@ void Aggregator::add(const TrialOutcome& outcome) {
   } else {
     ++arm.timeouts;
   }
+  auto& slots = finding_slots_[outcome.spec.arm];
   for (const std::string& summary : outcome.findings) {
-    auto it = std::find_if(arm.findings.begin(), arm.findings.end(),
-                           [&](const auto& entry) { return entry.first == summary; });
-    if (it == arm.findings.end()) {
+    const auto [slot, inserted] = slots.try_emplace(summary, arm.findings.size());
+    if (inserted) {
       arm.findings.emplace_back(summary, 1);
     } else {
-      ++it->second;
+      ++arm.findings[slot->second].second;
     }
   }
 }

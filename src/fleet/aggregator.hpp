@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fleet/trial.hpp"
@@ -72,6 +73,9 @@ class Aggregator {
 
  private:
   FleetReport report_;
+  /// Per arm: summary -> its slot in ArmReport::findings, so deduplication
+  /// stays linear in the number of findings.
+  std::vector<std::unordered_map<std::string, std::size_t>> finding_slots_;
 };
 
 /// One-shot convenience: aggregate an executor result for its plan.

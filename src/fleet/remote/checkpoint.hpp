@@ -1,7 +1,7 @@
 // FleetCheckpoint: durable progress of a distributed campaign, in the same
-// hardened line-oriented discipline as the PR 5 fuzzer checkpoint (versioned
-// magic header, validated counts, hex-escaped free text, clean rejection of
-// anything malformed).  It records, per finished trial, everything the
+// hardened line-oriented discipline as the fuzzer's campaign checkpoint
+// (versioned magic header, validated counts, hex-escaped free text, every
+// token read through util/codec.hpp, clean rejection of anything malformed).  It records, per finished trial, everything the
 // aggregator and JSONL exporter need — so a restarted coordinator resumes
 // mid-campaign without recomputing a single finished trial — plus the trial
 // ids that were leased-but-unfinished at save time, so resume re-issues
@@ -12,9 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,11 +37,10 @@ struct FleetCheckpoint {
   /// coordinator pushes these to the front of the issue queue.
   std::vector<std::size_t> leased;
 
-  void serialize(std::ostream& out) const;
-  static std::optional<FleetCheckpoint> deserialize(std::istream& in);
-
   std::string to_string() const;
-  static std::optional<FleetCheckpoint> from_string(const std::string& text);
+  /// Strict: every number in its canonical form, every outcome valid(),
+  /// nothing after "end" — so an accepted text re-encodes to its own tokens.
+  static std::optional<FleetCheckpoint> from_string(std::string_view text);
 
   /// Write-then-rename so a coordinator killed mid-save leaves the previous
   /// checkpoint intact rather than a torn file.

@@ -1,18 +1,16 @@
 #include "fleet/remote/wire.hpp"
 
-#include <bit>
 #include <cmath>
-#include <cstring>
 
+#include "util/codec.hpp"
 #include "util/fnv.hpp"
 
 namespace acf::fleet::remote {
 
 namespace {
 
-constexpr std::uint8_t kMaxTrialStatus = static_cast<std::uint8_t>(TrialStatus::kSkipped);
-constexpr std::uint8_t kMaxStopReason =
-    static_cast<std::uint8_t>(fuzzer::StopReason::kTransportDead);
+using util::ByteReader;
+using util::ByteWriter;
 
 // Strings cross the wire length-prefixed and bounded; anything longer is
 // truncated at encode time so a pathological finding cannot poison the
@@ -44,26 +42,21 @@ bool read_outcome(ByteReader& r, TrialOutcome& outcome) {
   outcome.spec.replica = r.u64();
   outcome.spec.seed = r.u64();
   outcome.spec.sim_budget = sim::Duration{r.i64()};
-  const std::uint8_t status = r.u8();
-  const std::uint8_t stop = r.u8();
-  if (!r.ok() || status > kMaxTrialStatus || stop > kMaxStopReason) return false;
-  outcome.status = static_cast<TrialStatus>(status);
-  outcome.stop_reason = static_cast<fuzzer::StopReason>(stop);
+  outcome.status = static_cast<TrialStatus>(r.u8());
+  outcome.stop_reason = static_cast<fuzzer::StopReason>(r.u8());
   outcome.frames_sent = r.u64();
   outcome.send_failures = r.u64();
   outcome.sim_seconds = r.f64();
   outcome.time_to_failure = r.f64();
-  const std::uint32_t findings = r.u32();
-  // Each finding needs at least its 4-byte length prefix: a declared count
-  // beyond that is a lie about bytes that cannot exist.
-  if (!r.ok() || findings > r.remaining() / 4) return false;
+  // Each finding needs at least its 4-byte length prefix.
+  const std::uint32_t findings = r.count(kMaxFramePayload, 4);
   outcome.findings.reserve(findings);
   for (std::uint32_t i = 0; i < findings; ++i) {
     outcome.findings.push_back(r.str(kMaxStringBytes));
     if (!r.ok()) return false;
   }
   outcome.error = r.str(kMaxStringBytes);
-  return r.ok();
+  return r.ok() && outcome.valid();
 }
 
 void write_metrics(ByteWriter& w, const MetricsUpdate& update) {
@@ -98,12 +91,8 @@ void write_metrics(ByteWriter& w, const MetricsUpdate& update) {
 bool finite(double v) noexcept { return std::isfinite(v); }
 
 bool read_metrics(ByteReader& r, MetricsUpdate& update) {
-  const std::uint32_t counters = r.u32();
-  // Minimum counter entry: 4-byte name length + 8-byte value.  A declared
-  // count past that bound promises bytes that cannot exist.
-  if (!r.ok() || counters > kMaxMetricsEntries || counters > r.remaining() / 12) {
-    return false;
-  }
+  // Minimum counter entry: 4-byte name length + 8-byte value.
+  const std::uint32_t counters = r.count(kMaxMetricsEntries, 12);
   update.counters.reserve(counters);
   for (std::uint32_t i = 0; i < counters; ++i) {
     WireCounter c;
@@ -112,10 +101,7 @@ bool read_metrics(ByteReader& r, MetricsUpdate& update) {
     if (!r.ok()) return false;
     update.counters.push_back(std::move(c));
   }
-  const std::uint32_t gauges = r.u32();
-  if (!r.ok() || gauges > kMaxMetricsEntries || gauges > r.remaining() / 12) {
-    return false;
-  }
+  const std::uint32_t gauges = r.count(kMaxMetricsEntries, 12);
   update.gauges.reserve(gauges);
   for (std::uint32_t i = 0; i < gauges; ++i) {
     WireGauge g;
@@ -124,11 +110,8 @@ bool read_metrics(ByteReader& r, MetricsUpdate& update) {
     if (!r.ok()) return false;
     update.gauges.push_back(std::move(g));
   }
-  const std::uint32_t timers = r.u32();
   // Minimum timer entry: name length + count + sum/min/max + sample count.
-  if (!r.ok() || timers > kMaxMetricsEntries || timers > r.remaining() / 40) {
-    return false;
-  }
+  const std::uint32_t timers = r.count(kMaxMetricsEntries, 40);
   update.timers.reserve(timers);
   for (std::uint32_t i = 0; i < timers; ++i) {
     WireTimer t;
@@ -138,10 +121,7 @@ bool read_metrics(ByteReader& r, MetricsUpdate& update) {
     t.min = r.f64();
     t.max = r.f64();
     if (!r.ok() || !finite(t.sum) || !finite(t.min) || !finite(t.max)) return false;
-    const std::uint32_t samples = r.u32();
-    if (!r.ok() || samples > kMaxTimerSamples || samples > r.remaining() / 24) {
-      return false;
-    }
+    const std::uint32_t samples = r.count(kMaxTimerSamples, 24);
     t.samples.reserve(samples);
     for (std::uint32_t s = 0; s < samples; ++s) {
       WireTimerSample sample;
@@ -157,63 +137,6 @@ bool read_metrics(ByteReader& r, MetricsUpdate& update) {
 }
 
 }  // namespace
-
-// ------------------------------------------------------------ cursor ------
-
-bool ByteReader::take(std::size_t n) noexcept {
-  if (!ok_ || n > remaining()) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t ByteReader::u8() {
-  if (!take(1)) return 0;
-  return bytes_[pos_++];
-}
-
-std::uint32_t ByteReader::u32() {
-  if (!take(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  if (!take(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
-  return v;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::string ByteReader::str(std::size_t max_bytes) {
-  const std::uint32_t len = u32();
-  if (!ok_ || len > max_bytes || !take(len)) {
-    ok_ = false;
-    return {};
-  }
-  std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-  pos_ += len;
-  return out;
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::str(std::string_view s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.insert(out_.end(), s.begin(), s.end());
-}
 
 // ----------------------------------------------------------- encode -------
 
@@ -306,10 +229,7 @@ std::optional<Message> decode(std::span<const std::uint8_t> payload) {
       LeaseGrantMsg msg;
       msg.lease_id = r.u64();
       msg.deadline_ms = r.u32();
-      const std::uint32_t count = r.u32();
-      if (!r.ok() || count > kMaxLeaseTrials || count > r.remaining() / 8) {
-        return std::nullopt;
-      }
+      const std::uint32_t count = r.count(kMaxLeaseTrials, 8);
       msg.trials.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) msg.trials.push_back(r.u64());
       out = std::move(msg);
@@ -386,17 +306,19 @@ bool FrameReader::feed(std::span<const std::uint8_t> bytes) {
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
   // Validate the pending length prefix eagerly so an oversized declaration
   // poisons the stream before its payload is ever buffered in full.
-  if (buffer_.size() - consumed_ >= 4) {
-    ByteReader r(std::span<const std::uint8_t>(buffer_).subspan(consumed_, 4));
-    const std::uint32_t declared = r.u32();
-    if (declared == 0 || declared > max_payload_) {
-      poisoned_ = true;
-      buffer_.clear();
-      consumed_ = 0;
-      return false;
-    }
+  check_pending_prefix();
+  return !poisoned_;
+}
+
+void FrameReader::check_pending_prefix() {
+  if (buffer_.size() - consumed_ < 4) return;
+  ByteReader r(std::span<const std::uint8_t>(buffer_).subspan(consumed_, 4));
+  const std::uint32_t declared = r.u32();
+  if (declared == 0 || declared > max_payload_) {
+    poisoned_ = true;
+    buffer_.clear();
+    consumed_ = 0;
   }
-  return true;
 }
 
 std::optional<std::vector<std::uint8_t>> FrameReader::next() {
@@ -410,17 +332,9 @@ std::optional<std::vector<std::uint8_t>> FrameReader::next() {
                                     buffer_.begin() +
                                         static_cast<std::ptrdiff_t>(consumed_ + 4 + declared));
   consumed_ += 4 + declared;
-  // The next pending prefix (if fully buffered) gets the same eager check
-  // feed() applies, so a poisoned tail never yields another frame.
-  if (buffer_.size() - consumed_ >= 4) {
-    ByteReader peek(std::span<const std::uint8_t>(buffer_).subspan(consumed_, 4));
-    const std::uint32_t next_len = peek.u32();
-    if (next_len == 0 || next_len > max_payload_) {
-      poisoned_ = true;
-      buffer_.clear();
-      consumed_ = 0;
-    }
-  }
+  // The next pending prefix gets the same eager check feed() applies, so a
+  // poisoned tail never yields another frame.
+  check_pending_prefix();
   return payload;
 }
 

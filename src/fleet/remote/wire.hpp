@@ -9,7 +9,8 @@
 // v2 coordinator can speak to a v1 worker without killing the campaign.
 //
 // This surface is fuzzed: the `fleet_wire` self-fuzz target hammers
-// FrameReader + decode with the same invariants as the other nine parsers.
+// FrameReader + decode with the same invariants as the other parsers.  The
+// byte cursor underneath is util::ByteReader (util/codec.hpp).
 #pragma once
 
 #include <cstdint>
@@ -190,6 +191,10 @@ class FrameReader {
   bool poisoned() const noexcept { return poisoned_; }
 
  private:
+  /// Poisons the reader when the pending length prefix is fully buffered
+  /// and declares zero bytes or more than `max_payload_`.
+  void check_pending_prefix();
+
   std::size_t max_payload_;
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_ = 0;  // bytes of buffer_ already handed out
@@ -201,48 +206,5 @@ class FrameReader {
 /// resume a different campaign.  FNV-1a over the world tag, arm labels,
 /// replicas, base seed and simulated budget.
 std::uint64_t campaign_fingerprint(const TrialPlan& plan, std::string_view world_tag);
-
-// --- hardened byte cursor (shared with the checkpoint reader and the ---
-// --- fleet_wire fuzz target)                                          ---
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  bool ok() const noexcept { return ok_; }
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-  bool done() const noexcept { return ok_ && remaining() == 0; }
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();  // IEEE bit pattern via u64: exact, canonical
-  /// Length-prefixed string (u32 + bytes), capped at `max_bytes`.
-  std::string str(std::size_t max_bytes);
-
- private:
-  bool take(std::size_t n) noexcept;
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-class ByteWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void str(std::string_view s);
-
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-  const std::vector<std::uint8_t>& bytes() const noexcept { return out_; }
-
- private:
-  std::vector<std::uint8_t> out_;
-};
 
 }  // namespace acf::fleet::remote

@@ -1,5 +1,7 @@
 #include "fleet/trial.hpp"
 
+#include <cmath>
+
 namespace acf::fleet {
 
 const char* to_string(TrialStatus status) noexcept {
@@ -9,6 +11,11 @@ const char* to_string(TrialStatus status) noexcept {
     case TrialStatus::kSkipped: return "skipped";
   }
   return "?";
+}
+
+bool TrialOutcome::valid() const noexcept {
+  return status <= TrialStatus::kSkipped && stop_reason <= fuzzer::StopReason::kTransportDead &&
+         std::isfinite(sim_seconds) && std::isfinite(time_to_failure);
 }
 
 TrialOutcome outcome_from_result(const TrialSpec& spec, const fuzzer::CampaignResult& result) {

@@ -68,6 +68,11 @@ struct TrialOutcome {
   /// Completed without the oracle firing — the bench's "timeout" case that
   /// must never be folded into a time-to-failure mean as -1.
   bool timed_out() const noexcept { return completed() && time_to_failure < 0.0; }
+  /// Status and stop reason name real enumerators and both times are
+  /// finite: what every outcome decoder (fleet wire, fleet checkpoint)
+  /// demands before it accepts an outcome.  A NaN time_to_failure is neither
+  /// detected nor timed out, so it must never reach the aggregator.
+  bool valid() const noexcept;
 };
 
 /// Converts a finished campaign result into an outcome for `spec`.

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
-#include "util/hex.hpp"
+#include "util/codec.hpp"
 
 namespace acf::fuzzer {
 
@@ -20,11 +19,6 @@ constexpr const char* kMagic = "ACF-CHECKPOINT";
 // as real content parses, keeping memory proportional to input size.
 constexpr std::size_t kMaxStateWords = 1024;
 constexpr std::size_t kMaxAdvanceReserve = 4096;
-
-std::string hex_or_dash(std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) return "-";
-  return util::hex_bytes(bytes, '\0');  // no separator
-}
 
 // Generator names are written as a single token; whitespace and other
 // non-printable bytes are percent-escaped so a hostile or merely unusual
@@ -47,7 +41,9 @@ std::string escape_name(const std::string& name) {
   return out;
 }
 
-std::optional<std::string> unescape_name(const std::string& token) {
+/// Inverse of escape_name on exactly its outputs: an escape it would not
+/// have written ("%41", lower-case hex) is rejected, not normalised.
+std::optional<std::string> unescape_name(std::string_view token) {
   if (token == "-") return std::string{};
   std::string out;
   out.reserve(token.size());
@@ -57,69 +53,73 @@ std::optional<std::string> unescape_name(const std::string& token) {
       continue;
     }
     if (i + 2 >= token.size()) return std::nullopt;
-    const auto byte = util::parse_hex_byte(std::string_view(token).substr(i + 1, 2));
+    const auto byte = util::parse_hex_byte(token.substr(i + 1, 2));
     if (!byte) return std::nullopt;
     out.push_back(static_cast<char>(*byte));
     i += 2;
   }
+  if (escape_name(out) != token) return std::nullopt;
   return out;
-}
-
-std::vector<std::uint8_t> bytes_of(const std::string& text) {
-  return {text.begin(), text.end()};
 }
 
 void write_frame(std::ostream& out, const trace::TimestampedFrame& entry) {
   const can::CanFrame& frame = entry.frame;
-  out << "frame " << entry.time.count() << ' ';
-  if (frame.is_fd()) {
-    out << "F " << (frame.is_extended() ? 'E' : 'S') << ' ' << frame.id() << ' '
-        << (frame.brs() ? 1 : 0) << ' ' << hex_or_dash(frame.payload());
-  } else if (frame.is_remote()) {
-    out << "R " << (frame.is_extended() ? 'E' : 'S') << ' ' << frame.id() << ' '
-        << static_cast<unsigned>(frame.dlc());
+  out << "frame " << entry.time.count() << ' '
+      << (frame.is_fd() ? 'F' : frame.is_remote() ? 'R' : 'D') << ' '
+      << (frame.is_extended() ? 'E' : 'S') << ' ' << frame.id() << ' ';
+  if (frame.is_fd()) out << (frame.brs() ? 1 : 0) << ' ';
+  if (frame.is_remote()) {
+    out << static_cast<unsigned>(frame.dlc()) << '\n';
   } else {
-    out << "D " << (frame.is_extended() ? 'E' : 'S') << ' ' << frame.id() << ' '
-        << hex_or_dash(frame.payload());
+    out << util::hex_or_dash(frame.payload()) << '\n';
   }
-  out << '\n';
 }
 
-std::optional<trace::TimestampedFrame> read_frame(std::istream& in) {
-  std::int64_t time_ns = 0;
-  char kind = 0;
-  char format_code = 0;
-  std::uint32_t id = 0;
-  if (!(in >> time_ns >> kind >> format_code >> id)) return std::nullopt;
-  const auto format = format_code == 'E' ? can::IdFormat::kExtended
-                                         : can::IdFormat::kStandard;
+std::optional<trace::TimestampedFrame> read_frame(util::TokenReader& in) {
+  const std::int64_t time_ns = in.i64("frame");
+  const std::string_view kind = in.token();
+  const std::string_view format_code = in.token();
+  const std::uint64_t id = in.u64();
+  if (!in.ok() || (kind != "D" && kind != "R" && kind != "F") ||
+      (format_code != "E" && format_code != "S") || id > can::kMaxExtendedId) {
+    return std::nullopt;
+  }
+  const auto format = format_code == "E" ? can::IdFormat::kExtended : can::IdFormat::kStandard;
+  const auto id32 = static_cast<std::uint32_t>(id);
   std::optional<can::CanFrame> frame;
-  if (kind == 'R') {
-    unsigned dlc = 0;
+  if (kind == "R") {
     // Validate before narrowing: 260 must not silently become 4.
-    if (!(in >> dlc) || dlc > can::kMaxClassicPayload) return std::nullopt;
-    frame = can::CanFrame::remote(id, static_cast<std::uint8_t>(dlc), format);
+    const std::uint64_t dlc = in.u64();
+    if (!in.ok() || dlc > can::kMaxClassicPayload) return std::nullopt;
+    frame = can::CanFrame::remote(id32, static_cast<std::uint8_t>(dlc), format);
   } else {
-    int brs = 0;
-    if (kind == 'F' && !(in >> brs)) return std::nullopt;
-    std::string payload_hex;
-    if (!(in >> payload_hex)) return std::nullopt;
-    std::vector<std::uint8_t> payload;
-    if (payload_hex != "-") {
-      const auto parsed = util::parse_hex_bytes(payload_hex);
-      if (!parsed) return std::nullopt;
-      payload = *parsed;
-    }
-    frame = kind == 'F' ? can::CanFrame::fd_data(id, payload, brs != 0, format)
-                        : can::CanFrame::data(id, payload, format);
+    const std::uint64_t brs = kind == "F" ? in.u64() : 0;
+    const std::string text = in.hex_or_dash();
+    const std::span payload(reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
+    if (!in.ok() || brs > 1) return std::nullopt;
+    frame = kind == "F" ? can::CanFrame::fd_data(id32, payload, brs == 1, format)
+                        : can::CanFrame::data(id32, payload, format);
   }
   if (!frame) return std::nullopt;
   return trace::TimestampedFrame{*frame, sim::SimTime{time_ns}};
 }
 
+/// `count` frame lines; the declared count only caps the up-front reserve.
+bool read_frames(util::TokenReader& in, std::uint64_t count,
+                 std::vector<trace::TimestampedFrame>& out) {
+  out.reserve(std::min<std::uint64_t>(count, kMaxAdvanceReserve));
+  for (std::uint64_t f = 0; f < count; ++f) {
+    const auto entry = read_frame(in);
+    if (!entry) return false;
+    out.push_back(*entry);
+  }
+  return true;
+}
+
 }  // namespace
 
-void CampaignCheckpoint::serialize(std::ostream& out) const {
+std::string CampaignCheckpoint::to_string() const {
+  std::ostringstream out;
   out << kMagic << ' ' << kVersion << '\n';
   out << "frames_sent " << frames_sent << '\n';
   out << "send_failures " << send_failures << '\n';
@@ -132,7 +132,7 @@ void CampaignCheckpoint::serialize(std::ostream& out) const {
   for (const Finding& finding : findings) {
     out << "verdict " << static_cast<int>(finding.observation.verdict) << '\n';
     out << "time_ns " << finding.observation.time.count() << '\n';
-    out << "detail " << hex_or_dash(bytes_of(finding.observation.detail)) << '\n';
+    out << "detail " << util::hex_or_dash(finding.observation.detail) << '\n';
     out << "at_frame " << finding.frames_sent << '\n';
     out << "seed " << finding.seed << '\n';
     out << "gen " << escape_name(finding.generator) << '\n';
@@ -142,111 +142,59 @@ void CampaignCheckpoint::serialize(std::ostream& out) const {
   out << "window " << recent_frames.size() << '\n';
   for (const auto& entry : recent_frames) write_frame(out, entry);
   out << "end\n";
-}
-
-std::optional<CampaignCheckpoint> CampaignCheckpoint::deserialize(std::istream& in) {
-  std::string magic;
-  std::uint32_t version = 0;
-  if (!(in >> magic >> version) || magic != kMagic || version != kVersion) {
-    return std::nullopt;
-  }
-  CampaignCheckpoint checkpoint;
-  std::string key;
-  std::int64_t elapsed_ns = 0;
-  std::size_t state_words = 0;
-  std::size_t finding_count = 0;
-  if (!(in >> key >> checkpoint.frames_sent) || key != "frames_sent") return std::nullopt;
-  if (!(in >> key >> checkpoint.send_failures) || key != "send_failures") return std::nullopt;
-  if (!(in >> key >> elapsed_ns) || key != "elapsed_ns") return std::nullopt;
-  checkpoint.elapsed = sim::Duration{elapsed_ns};
-  std::string name_token;
-  if (!(in >> key >> name_token) || key != "generator") return std::nullopt;
-  if (auto name = unescape_name(name_token)) {
-    checkpoint.generator_name = std::move(*name);
-  } else {
-    return std::nullopt;
-  }
-  if (!(in >> key >> state_words) || key != "state") return std::nullopt;
-  if (state_words > kMaxStateWords) return std::nullopt;
-  checkpoint.generator_state.resize(state_words);
-  for (std::uint64_t& word : checkpoint.generator_state) {
-    if (!(in >> word)) return std::nullopt;
-  }
-  if (!(in >> key >> finding_count) || key != "findings") return std::nullopt;
-  checkpoint.findings.reserve(std::min(finding_count, kMaxAdvanceReserve));
-  for (std::size_t i = 0; i < finding_count; ++i) {
-    Finding finding;
-    int verdict = 0;
-    std::int64_t time_ns = 0;
-    std::string detail_hex;
-    std::size_t recent_count = 0;
-    if (!(in >> key >> verdict) || key != "verdict") return std::nullopt;
-    if (verdict < 0 || verdict > static_cast<int>(oracle::Verdict::kFailure)) {
-      return std::nullopt;
-    }
-    finding.observation.verdict = static_cast<oracle::Verdict>(verdict);
-    if (!(in >> key >> time_ns) || key != "time_ns") return std::nullopt;
-    finding.observation.time = sim::SimTime{time_ns};
-    if (!(in >> key >> detail_hex) || key != "detail") return std::nullopt;
-    if (detail_hex != "-") {
-      const auto bytes = util::parse_hex_bytes(detail_hex);
-      if (!bytes) return std::nullopt;
-      finding.observation.detail.assign(bytes->begin(), bytes->end());
-    }
-    if (!(in >> key >> finding.frames_sent) || key != "at_frame") return std::nullopt;
-    if (!(in >> key >> finding.seed) || key != "seed") return std::nullopt;
-    std::string gen_token;
-    if (!(in >> key >> gen_token) || key != "gen") return std::nullopt;
-    if (auto gen = unescape_name(gen_token)) {
-      finding.generator = std::move(*gen);
-    } else {
-      return std::nullopt;
-    }
-    if (!(in >> key >> recent_count) || key != "recent") return std::nullopt;
-    finding.recent_frames.reserve(std::min(recent_count, kMaxAdvanceReserve));
-    for (std::size_t f = 0; f < recent_count; ++f) {
-      if (!(in >> key) || key != "frame") return std::nullopt;
-      const auto entry = read_frame(in);
-      if (!entry) return std::nullopt;
-      finding.recent_frames.push_back(*entry);
-    }
-    checkpoint.findings.push_back(std::move(finding));
-  }
-  std::size_t window_count = 0;
-  if (!(in >> key >> window_count) || key != "window") return std::nullopt;
-  checkpoint.recent_frames.reserve(std::min(window_count, kMaxAdvanceReserve));
-  for (std::size_t f = 0; f < window_count; ++f) {
-    if (!(in >> key) || key != "frame") return std::nullopt;
-    const auto entry = read_frame(in);
-    if (!entry) return std::nullopt;
-    checkpoint.recent_frames.push_back(*entry);
-  }
-  if (!(in >> key) || key != "end") return std::nullopt;
-  return checkpoint;
-}
-
-std::string CampaignCheckpoint::to_string() const {
-  std::ostringstream out;
-  serialize(out);
   return out.str();
 }
 
-std::optional<CampaignCheckpoint> CampaignCheckpoint::from_string(const std::string& text) {
-  std::istringstream in(text);
-  return deserialize(in);
+std::optional<CampaignCheckpoint> CampaignCheckpoint::from_string(std::string_view text) {
+  util::TokenReader in(text);
+  if (in.u64(kMagic) != kVersion || !in.ok()) return std::nullopt;
+  CampaignCheckpoint checkpoint;
+  checkpoint.frames_sent = in.u64("frames_sent");
+  checkpoint.send_failures = in.u64("send_failures");
+  checkpoint.elapsed = sim::Duration{in.i64("elapsed_ns")};
+  in.expect("generator");
+  std::optional<std::string> name = unescape_name(in.token());
+  const std::uint64_t state_words = in.u64("state");
+  if (!in.ok() || !name || state_words > kMaxStateWords) return std::nullopt;
+  checkpoint.generator_name = std::move(*name);
+  checkpoint.generator_state.resize(state_words);
+  for (std::uint64_t& word : checkpoint.generator_state) word = in.u64();
+  const std::uint64_t finding_count = in.u64("findings");
+  if (!in.ok()) return std::nullopt;
+  checkpoint.findings.reserve(std::min<std::uint64_t>(finding_count, kMaxAdvanceReserve));
+  for (std::uint64_t i = 0; i < finding_count; ++i) {
+    Finding finding;
+    const std::uint64_t verdict = in.u64("verdict");
+    finding.observation.time = sim::SimTime{in.i64("time_ns")};
+    finding.observation.detail = in.hex_or_dash("detail");
+    finding.frames_sent = in.u64("at_frame");
+    finding.seed = in.u64("seed");
+    in.expect("gen");
+    std::optional<std::string> generator = unescape_name(in.token());
+    const std::uint64_t recent_count = in.u64("recent");
+    if (!in.ok() || !generator ||
+        verdict > static_cast<std::uint64_t>(oracle::Verdict::kFailure) ||
+        !read_frames(in, recent_count, finding.recent_frames)) {
+      return std::nullopt;
+    }
+    finding.observation.verdict = static_cast<oracle::Verdict>(verdict);
+    finding.generator = std::move(*generator);
+    checkpoint.findings.push_back(std::move(finding));
+  }
+  if (!read_frames(in, in.u64("window"), checkpoint.recent_frames)) return std::nullopt;
+  in.expect("end");
+  if (!in.done()) return std::nullopt;
+  return checkpoint;
 }
 
 bool CampaignCheckpoint::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  serialize(out);
-  return static_cast<bool>(out);
+  return util::write_file_atomic(path, to_string());
 }
 
 std::optional<CampaignCheckpoint> CampaignCheckpoint::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  return deserialize(in);
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) return std::nullopt;
+  return from_string(*text);
 }
 
 }  // namespace acf::fuzzer

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fuzzer/finding.hpp"
@@ -37,14 +37,14 @@ struct CampaignCheckpoint {
   /// window it would have in the uninterrupted run.
   std::vector<trace::TimestampedFrame> recent_frames;
 
-  void serialize(std::ostream& out) const;
-  static std::optional<CampaignCheckpoint> deserialize(std::istream& in);
-
   std::string to_string() const;
-  static std::optional<CampaignCheckpoint> from_string(const std::string& text);
+  /// Strict: numbers in their canonical form, frame kinds D/R/F and id
+  /// formats E/S only, nothing after "end" — so an accepted text re-encodes
+  /// to its own tokens.
+  static std::optional<CampaignCheckpoint> from_string(std::string_view text);
 
-  /// File convenience wrappers; save writes atomically enough for a
-  /// single-writer campaign (write-then-rename is overkill on a sim).
+  /// File wrappers; save writes then renames, so a crash mid-save leaves the
+  /// previous checkpoint intact.
   bool save(const std::string& path) const;
   static std::optional<CampaignCheckpoint> load(const std::string& path);
 };

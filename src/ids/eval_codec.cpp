@@ -1,10 +1,10 @@
 #include "ids/eval_codec.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
+
+#include "util/codec.hpp"
 
 namespace acf::ids {
 
@@ -57,31 +57,15 @@ class Fields {
   std::vector<std::string_view> tokens_;
 };
 
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (~std::uint64_t{0} - digit) / 10) return false;  // would wrap
-    value = value * 10 + digit;
-  }
-  out = value;
-  return true;
+/// Stores a parsed field; false (and `out` untouched) when it was rejected.
+template <typename T>
+bool store(std::optional<T> value, T& out) {
+  if (value) out = *value;
+  return value.has_value();
 }
 
-bool parse_double(std::string_view text, double& out) {
-  if (text.empty() || text.size() >= 64) return false;
-  char buffer[64];
-  text.copy(buffer, text.size());
-  buffer[text.size()] = '\0';
-  char* end = nullptr;
-  const double value = std::strtod(buffer, &end);
-  // Overflow yields ±HUGE_VAL, so the finiteness test also rejects it;
-  // underflow rounds toward zero like any other decimal rounding.
-  if (end != buffer + text.size() || !std::isfinite(value)) return false;
-  out = value;
-  return true;
+bool store_u64(std::string_view text, std::uint64_t& out) {
+  return store(util::parse_u64(text), out);
 }
 
 /// "-" or a comma list of bin:count pairs; an absent field, an empty pair
@@ -94,11 +78,10 @@ bool parse_bins(std::string_view text, std::vector<std::uint64_t>& bins) {
     const std::string_view pair = text.substr(0, comma);
     const std::size_t colon = pair.find(':');
     if (colon == std::string_view::npos) return false;
-    std::uint64_t index = 0, count = 0;
-    if (!parse_u64(pair.substr(0, colon), index)) return false;
-    if (!parse_u64(pair.substr(colon + 1), count)) return false;
-    if (index >= bins.size()) return false;
-    bins[index] = count;
+    const std::optional<std::uint64_t> index = util::parse_u64(pair.substr(0, colon));
+    const std::optional<std::uint64_t> count = util::parse_u64(pair.substr(colon + 1));
+    if (!index || !count || *index >= bins.size()) return false;
+    bins[*index] = *count;
     if (comma == std::string_view::npos) return true;
     text.remove_prefix(comma + 1);
   }
@@ -137,15 +120,15 @@ bool decode_eval_line(std::string_view line, TrialEval& eval) {
 
   if (fields.token(0) == "totals") {
     TrialEval parsed = eval;  // only commit on a fully valid line
-    if (!parse_u64(fields.value("attack"), parsed.attack_frames)) return false;
-    if (!parse_u64(fields.value("legit"), parsed.legit_frames)) return false;
-    if (!parse_u64(fields.value("trained"), parsed.pipeline.frames_trained)) return false;
-    if (!parse_u64(fields.value("scored"), parsed.pipeline.frames_scored)) return false;
-    if (!parse_u64(fields.value("raised"), parsed.pipeline.alerts_raised)) return false;
-    if (!parse_u64(fields.value("suppressed"), parsed.pipeline.alerts_suppressed)) {
+    if (!store_u64(fields.value("attack"), parsed.attack_frames)) return false;
+    if (!store_u64(fields.value("legit"), parsed.legit_frames)) return false;
+    if (!store_u64(fields.value("trained"), parsed.pipeline.frames_trained)) return false;
+    if (!store_u64(fields.value("scored"), parsed.pipeline.frames_scored)) return false;
+    if (!store_u64(fields.value("raised"), parsed.pipeline.alerts_raised)) return false;
+    if (!store_u64(fields.value("suppressed"), parsed.pipeline.alerts_suppressed)) {
       return false;
     }
-    if (!parse_u64(fields.value("dropped"), parsed.pipeline.alerts_dropped)) return false;
+    if (!store_u64(fields.value("dropped"), parsed.pipeline.alerts_dropped)) return false;
     eval = std::move(parsed);
     return true;
   }
@@ -155,12 +138,14 @@ bool decode_eval_line(std::string_view line, TrialEval& eval) {
     const std::string_view name = fields.value("name");
     if (name.empty()) return false;
     det.name = std::string(name);
-    if (!parse_double(fields.value("thr"), det.threshold)) return false;
-    if (!parse_u64(fields.value("tp"), det.tp)) return false;
-    if (!parse_u64(fields.value("fp"), det.fp)) return false;
-    if (!parse_u64(fields.value("tn"), det.tn)) return false;
-    if (!parse_u64(fields.value("fn"), det.fn)) return false;
-    if (!parse_double(fields.value("lat"), det.detection_latency)) return false;
+    if (!store(util::parse_finite_double(fields.value("thr")), det.threshold)) return false;
+    if (!store_u64(fields.value("tp"), det.tp)) return false;
+    if (!store_u64(fields.value("fp"), det.fp)) return false;
+    if (!store_u64(fields.value("tn"), det.tn)) return false;
+    if (!store_u64(fields.value("fn"), det.fn)) return false;
+    if (!store(util::parse_finite_double(fields.value("lat")), det.detection_latency)) {
+      return false;
+    }
     if (!parse_bins(fields.value("ab"), det.attack_bins)) return false;
     if (!parse_bins(fields.value("lb"), det.legit_bins)) return false;
     eval.detectors.push_back(std::move(det));

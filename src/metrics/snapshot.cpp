@@ -1,13 +1,11 @@
 #include "metrics/snapshot.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <span>
 #include <vector>
 
+#include "util/codec.hpp"
 #include "util/json.hpp"
 
 namespace acf::metrics {
@@ -92,56 +90,24 @@ class Cursor {
     return std::nullopt;  // unterminated
   }
 
-  std::optional<std::uint64_t> u64() {
-    skip_ws();
-    std::uint64_t value = 0;
-    const auto result =
-        std::from_chars(text_.data() + pos_, text_.data() + text_.size(), value);
-    if (result.ec != std::errc{} || result.ptr == text_.data() + pos_) {
-      return std::nullopt;
-    }
-    pos_ = static_cast<std::size_t>(result.ptr - text_.data());
-    return value;
-  }
-
-  std::optional<std::int64_t> i64() {
-    skip_ws();
-    std::int64_t value = 0;
-    const auto result =
-        std::from_chars(text_.data() + pos_, text_.data() + text_.size(), value);
-    if (result.ec != std::errc{} || result.ptr == text_.data() + pos_) {
-      return std::nullopt;
-    }
-    pos_ = static_cast<std::size_t>(result.ptr - text_.data());
-    return value;
-  }
-
-  std::optional<double> number() {
-    skip_ws();
-    // Reject the inf/nan spellings from_chars would accept: JSON has no
-    // non-finite numbers and neither does an honest snapshot.
-    if (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == 'i' || c == 'I' || c == 'n' || c == 'N' || c == '+') {
-        return std::nullopt;
-      }
-      if ((c == '-') && pos_ + 1 < text_.size()) {
-        const char d = text_[pos_ + 1];
-        if (d == 'i' || d == 'I' || d == 'n' || d == 'N') return std::nullopt;
-      }
-    }
-    double value = 0.0;
-    const auto result =
-        std::from_chars(text_.data() + pos_, text_.data() + text_.size(), value);
-    if (result.ec != std::errc{} || result.ptr == text_.data() + pos_ ||
-        !std::isfinite(value)) {
-      return std::nullopt;
-    }
-    pos_ = static_cast<std::size_t>(result.ptr - text_.data());
-    return value;
-  }
+  std::optional<std::uint64_t> u64() { return util::parse_u64(number_token()); }
+  std::optional<std::int64_t> i64() { return util::parse_i64(number_token()); }
+  /// JSON has no non-finite numbers and neither does an honest snapshot.
+  std::optional<double> number() { return util::parse_finite_double(number_token()); }
 
  private:
+  /// The run of characters up to the next JSON delimiter; the util readers
+  /// then demand that the whole run is one number.
+  std::string_view number_token() {
+    skip_ws();
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
+           text_[pos_] != ']' && text_[pos_] != ' ' && text_[pos_] != '\t') {
+      ++pos_;
+    }
+    return text_.substr(start, pos_ - start);
+  }
+
   std::string_view text_;
   std::size_t pos_ = 0;
 };

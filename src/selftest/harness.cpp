@@ -5,7 +5,7 @@
 #include <fstream>
 
 #include "selftest/mutator.hpp"
-#include "util/hex.hpp"
+#include "util/codec.hpp"
 
 namespace acf::selftest {
 

@@ -10,6 +10,8 @@
 //       documented invariants (DLC bounds, signals fit, valid verdicts)
 //   [L] liveness: protocol state machines return to idle once input stops
 //       (plus bounded tolerance of hostile stalling, e.g. N_WFTmax)
+//   [C] canonical acceptance: an accepted text re-encodes to its own token
+//       sequence, so no input is read as something it does not spell
 #include "selftest/targets.hpp"
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "can/wire_codec.hpp"
 #include "dbc/parser.hpp"
 #include "feedback/corpus.hpp"
+#include "fleet/remote/checkpoint.hpp"
 #include "fleet/remote/wire.hpp"
 #include "fuzzer/checkpoint.hpp"
 #include "ids/eval_codec.hpp"
@@ -33,6 +36,7 @@
 #include "trace/replay.hpp"
 #include "transport/transport.hpp"
 #include "uds/uds_server.hpp"
+#include "util/codec.hpp"
 #include "util/fnv.hpp"
 #include "util/rng.hpp"
 
@@ -55,8 +59,18 @@ bool frames_equal(const trace::TimestampedFrame& a, const trace::TimestampedFram
   return a.frame == b.frame && a.time == b.time;
 }
 
+/// Whitespace-separated tokens, the unit of the [C] comparison.
+std::vector<std::string_view> tokens_of(std::string_view text) {
+  std::vector<std::string_view> tokens;
+  for (std::string_view token = util::next_token(text); !token.empty();
+       token = util::next_token(text)) {
+    tokens.push_back(token);
+  }
+  return tokens;
+}
+
 // ---------------------------------------------------------------------------
-// checkpoint: CampaignCheckpoint::deserialize on arbitrary text.  [R][M][S]
+// checkpoint: CampaignCheckpoint::from_string on arbitrary text.  [R][M][S][C]
 
 bool checkpoints_equal(const fuzzer::CampaignCheckpoint& a,
                        const fuzzer::CampaignCheckpoint& b) {
@@ -88,9 +102,12 @@ bool checkpoints_equal(const fuzzer::CampaignCheckpoint& a,
 }
 
 Verdict run_checkpoint(Bytes input) {
-  const auto parsed = fuzzer::CampaignCheckpoint::from_string(std::string(as_text(input)));
+  const auto parsed = fuzzer::CampaignCheckpoint::from_string(as_text(input));
   if (!parsed) return std::nullopt;  // clean rejection is the contract
   const std::string serialized = parsed->to_string();
+  if (tokens_of(as_text(input)) != tokens_of(serialized)) {
+    return "accepted checkpoint does not re-encode to its own tokens";
+  }
   const auto reparsed = fuzzer::CampaignCheckpoint::from_string(serialized);
   if (!reparsed) return "accepted checkpoint fails to reparse after serialize";
   if (!checkpoints_equal(*parsed, *reparsed)) {
@@ -179,8 +196,9 @@ Verdict run_checkpoint_roundtrip(Bytes input) {
 }
 
 // ---------------------------------------------------------------------------
-// dbc: parse arbitrary text; whatever loads must be structurally sound and
-// survive print→parse unchanged.  [R][M][S]
+// dbc: parse arbitrary text; whatever loads must be structurally sound
+// (signals fit, factors and range finite) and survive print→parse
+// unchanged.  [R][M][S]
 
 bool signals_equal(const dbc::SignalDef& a, const dbc::SignalDef& b) {
   return a.name == b.name && a.start_bit == b.start_bit && a.bit_length == b.bit_length &&
@@ -216,6 +234,10 @@ Verdict run_dbc(Bytes input) {
       if (!sig.fits(message.dlc)) {
         return "parser accepted signal '" + sig.name + "' exceeding DLC of '" +
                message.name + "'";
+      }
+      if (!std::isfinite(sig.scale) || !std::isfinite(sig.offset) || !std::isfinite(sig.min) ||
+          !std::isfinite(sig.max)) {
+        return "parser accepted non-finite factors or range on signal '" + sig.name + "'";
       }
     }
   }
@@ -587,6 +609,32 @@ fr::MetricsUpdate random_metrics(Bytes input, util::Rng& rng) {
   return update;
 }
 
+/// A valid() outcome: any finite bit pattern for the two times.
+fleet::TrialOutcome random_outcome(Bytes input, util::Rng& rng) {
+  const auto any_finite = [&rng] {
+    const double value = std::bit_cast<double>(rng.next_u64());
+    return std::isfinite(value) ? value : -0.0;
+  };
+  fleet::TrialOutcome outcome;
+  outcome.spec.trial_index = rng.next_u64();
+  outcome.spec.arm = rng.next_below(64);
+  outcome.spec.replica = rng.next_below(1024);
+  outcome.spec.seed = rng.next_u64();
+  outcome.spec.sim_budget = sim::Duration{static_cast<std::int64_t>(rng.next_u64())};
+  outcome.status = static_cast<fleet::TrialStatus>(rng.next_below(3));
+  outcome.stop_reason = static_cast<fuzzer::StopReason>(rng.next_below(7));
+  outcome.frames_sent = rng.next_u64();
+  outcome.send_failures = rng.next_u64();
+  outcome.sim_seconds = any_finite();
+  outcome.time_to_failure = rng.next_bool() ? -1.0 : any_finite();
+  const auto findings = rng.next_below(4);
+  for (std::uint64_t i = 0; i < findings; ++i) {
+    outcome.findings.push_back(slice_text(input, rng, 96));
+  }
+  outcome.error = slice_text(input, rng, 96);
+  return outcome;
+}
+
 fr::Message random_message(Bytes input, util::Rng& rng) {
   switch (rng.next_below(9)) {
     case 0: {
@@ -617,23 +665,7 @@ fr::Message random_message(Bytes input, util::Rng& rng) {
     case 4: {
       fr::LeaseResultMsg msg;
       msg.lease_id = rng.next_u64();
-      msg.outcome.spec.trial_index = rng.next_u64();
-      msg.outcome.spec.arm = rng.next_below(64);
-      msg.outcome.spec.replica = rng.next_below(1024);
-      msg.outcome.spec.seed = rng.next_u64();
-      msg.outcome.spec.sim_budget =
-          sim::Duration{static_cast<std::int64_t>(rng.next_u64())};
-      msg.outcome.status = static_cast<fleet::TrialStatus>(rng.next_below(3));
-      msg.outcome.stop_reason = static_cast<fuzzer::StopReason>(rng.next_below(7));
-      msg.outcome.frames_sent = rng.next_u64();
-      msg.outcome.send_failures = rng.next_u64();
-      msg.outcome.sim_seconds = std::bit_cast<double>(rng.next_u64());
-      msg.outcome.time_to_failure = std::bit_cast<double>(rng.next_u64());
-      const auto findings = rng.next_below(4);
-      for (std::uint64_t i = 0; i < findings; ++i) {
-        msg.outcome.findings.push_back(slice_text(input, rng, 96));
-      }
-      msg.outcome.error = slice_text(input, rng, 96);
+      msg.outcome = random_outcome(input, rng);
       return msg;
     }
     case 5: {
@@ -1091,9 +1123,49 @@ Verdict run_ids_eval(Bytes input) {
   return std::nullopt;
 }
 
+// ---------------------------------------------------------------------------
+// fleet_checkpoint: FleetCheckpoint, the file a coordinator reads back on
+// --resume.  Every input is parsed as a checkpoint and also seeds a
+// synthesised one.
+// [M] rejection is clean.
+// [S] every accepted outcome is valid(): statuses and stop reasons in
+//     range, finite times (a NaN time_to_failure would count as a timeout).
+// [C] an accepted checkpoint re-encodes to its own tokens (a negative or
+//     '+'-signed count read as a different number fails here).
+// [R] a checkpoint synthesised from the input round-trips exactly; the
+//     encoding carries every field bit for bit, so equal text means equal
+//     checkpoints.
+
+Verdict run_fleet_checkpoint(Bytes input) {
+  const std::string_view text = as_text(input);
+  if (const auto parsed = fr::FleetCheckpoint::from_string(text)) {
+    for (const auto& entry : parsed->completed) {
+      if (!entry.second.valid()) return "accepted an invalid trial outcome";
+    }
+    if (tokens_of(text) != tokens_of(parsed->to_string())) {
+      return "accepted fleet checkpoint does not re-encode to its own tokens";
+    }
+  }
+
+  util::Rng rng(util::fnv1a(util::kFnv1aOffset, text) ^ 0xC4EC7ULL);
+  fr::FleetCheckpoint original;
+  original.fingerprint = rng.next_u64();
+  original.trial_count = rng.next_below(48);
+  for (std::size_t index = 0; index < original.trial_count; ++index) {
+    const auto pick = rng.next_below(3);
+    if (pick == 0) original.completed.emplace_back(index, random_outcome(input, rng));
+    if (pick == 1) original.leased.push_back(index);
+  }
+  const std::string encoded = original.to_string();
+  const auto restored = fr::FleetCheckpoint::from_string(encoded);
+  if (!restored) return "synthesised fleet checkpoint failed to load";
+  if (restored->to_string() != encoded) return "fleet checkpoint round-trip lost data";
+  return std::nullopt;
+}
+
 std::vector<FuzzTarget> make_targets() {
   return {
-      {"checkpoint", "CampaignCheckpoint::deserialize on arbitrary text", run_checkpoint},
+      {"checkpoint", "CampaignCheckpoint::from_string on arbitrary text", run_checkpoint},
       {"checkpoint_roundtrip",
        "serialize→deserialize identity for checkpoints built from input bytes",
        run_checkpoint_roundtrip},
@@ -1113,6 +1185,8 @@ std::vector<FuzzTarget> make_targets() {
       {"attack_config", "attack-scenario spec codec strict decode + round-trip",
        run_attack_config},
       {"ids_eval", "ids-eval/1 digest codec strict decode + round-trip", run_ids_eval},
+      {"fleet_checkpoint", "FleetCheckpoint strict load + canonical re-encode + round-trip",
+       run_fleet_checkpoint},
   };
 }
 

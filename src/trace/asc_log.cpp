@@ -1,13 +1,12 @@
 #include "trace/asc_log.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "trace/timestamp.hpp"
-#include "util/hex.hpp"
+#include "util/codec.hpp"
 
 namespace acf::trace {
 
@@ -43,10 +42,15 @@ std::string to_asc_line(const TimestampedFrame& entry, int channel) {
 }
 
 std::optional<TimestampedFrame> parse_asc_line(std::string_view line) {
-  std::istringstream in{std::string(line)};
-  int channel = 0;
-  std::string stamp, id_token, direction, kind;
-  if (!(in >> stamp >> channel >> id_token >> direction >> kind)) return std::nullopt;
+  const std::string_view stamp = util::next_token(line);
+  const std::optional<std::int64_t> channel = util::parse_i64(util::next_token(line));
+  std::string_view id_token = util::next_token(line);
+  const std::string_view direction = util::next_token(line);
+  const std::string_view kind = util::next_token(line);
+  if (!channel || *channel < std::numeric_limits<int>::min() ||
+      *channel > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
   const auto time = parse_timestamp(stamp);
   if (!time) return std::nullopt;
   if (direction != "Rx" && direction != "Tx") return std::nullopt;
@@ -55,25 +59,23 @@ std::optional<TimestampedFrame> parse_asc_line(std::string_view line) {
   bool extended = false;
   if (!id_token.empty() && (id_token.back() == 'x' || id_token.back() == 'X')) {
     extended = true;
-    id_token.pop_back();
+    id_token.remove_suffix(1);
   }
   const auto id = util::parse_hex_u32(id_token);
   if (!id) return std::nullopt;
   const auto format = extended ? can::IdFormat::kExtended : can::IdFormat::kStandard;
 
-  unsigned dlc = 0;
-  if (!(in >> dlc) || dlc > 8) return std::nullopt;
+  const std::optional<std::uint64_t> dlc = util::parse_u64(util::next_token(line));
+  if (!dlc || *dlc > 8) return std::nullopt;
 
   std::optional<can::CanFrame> frame;
   if (kind == "r") {
-    frame = can::CanFrame::remote(*id, static_cast<std::uint8_t>(dlc), format);
+    frame = can::CanFrame::remote(*id, static_cast<std::uint8_t>(*dlc), format);
   } else {
     std::vector<std::uint8_t> payload;
-    payload.reserve(dlc);
-    for (unsigned i = 0; i < dlc; ++i) {
-      std::string byte_token;
-      if (!(in >> byte_token)) return std::nullopt;
-      const auto byte = util::parse_hex_byte(byte_token);
+    payload.reserve(*dlc);
+    for (std::uint64_t i = 0; i < *dlc; ++i) {
+      const auto byte = util::parse_hex_byte(util::next_token(line));
       if (!byte) return std::nullopt;
       payload.push_back(*byte);
     }

@@ -6,7 +6,7 @@
 #include <ostream>
 
 #include "trace/timestamp.hpp"
-#include "util/hex.hpp"
+#include "util/codec.hpp"
 
 namespace acf::trace {
 

@@ -381,6 +381,30 @@ BO_ 100 GOOD: 8 X
   EXPECT_EQ(msg->signals[0].name, "Good");
 }
 
+TEST(Parser, RejectsNonFiniteFactorsAndRanges) {
+  // from_chars reads "nan" and "inf", so these signals used to load with a
+  // NaN scale and an infinite range.
+  for (const char* signal : {" SG_ S : 0|16@1+ (nan,inf) [-inf|nan] \"u\" X",
+                             " SG_ S : 0|16@1+ (1,0) [0|inf] \"u\" X",
+                             " SG_ S : 0|16@1+ (1,-nan) [0|1] \"u\" X"}) {
+    const ParseResult result = parse_dbc(std::string("BO_ 256 M: 8 X\n") + signal + "\n");
+    EXPECT_EQ(result.errors.size(), 1u) << signal;
+    ASSERT_NE(result.database.by_id(0x100), nullptr);
+    EXPECT_TRUE(result.database.by_id(0x100)->signals.empty()) << signal;
+  }
+}
+
+TEST(Parser, RejectsIntegersWithSignsOrLeadingZeros) {
+  for (const char* text : {"BO_ 0256 M: 8 X\n", "BO_ 256 M: +8 X\n", "BO_ 256 M: 08 X\n",
+                           "BO_ 4294967296 M: 8 X\n"}) {
+    const ParseResult result = parse_dbc(text);
+    EXPECT_EQ(result.errors.size(), 1u) << text;
+    EXPECT_EQ(result.database.size(), 0u) << text;
+  }
+  const ParseResult layout = parse_dbc("BO_ 256 M: 8 X\n SG_ S : 00|8@1+ (1,0) [0|1] \"\" X\n");
+  EXPECT_EQ(layout.errors.size(), 1u);
+}
+
 TEST(Parser, SignalOutsideMessageIsError) {
   const auto result = parse_dbc(" SG_ Orphan : 0|8@1+ (1,0) [0|1] \"\" X\n");
   EXPECT_EQ(result.errors.size(), 1u);

@@ -5,6 +5,7 @@
 // checkpoint) produces byte-identical JSONL to the in-process executor.
 #include <sys/wait.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "feedback/corpus.hpp"
 #include "fleet/executor.hpp"
 #include "fleet/jsonl.hpp"
 #include "fleet/remote/checkpoint.hpp"
@@ -26,9 +28,11 @@
 #include "fleet/remote/wire.hpp"
 #include "fleet/remote/worker.hpp"
 #include "fleet/worlds.hpp"
+#include "fuzzer/checkpoint.hpp"
 #include "fuzzer/config.hpp"
 #include "metrics/metrics.hpp"
 #include "resilience/reconnect.hpp"
+#include "util/codec.hpp"
 #include "util/socket.hpp"
 #include "vehicle/vehicle.hpp"
 
@@ -36,6 +40,7 @@ namespace acf::fleet::remote {
 namespace {
 
 using namespace std::chrono_literals;
+using util::ByteWriter;
 
 // ----------------------------------------------------------- fixtures -----
 
@@ -159,6 +164,23 @@ TEST(FleetRemoteWire, HostileDeclaredCountsAreRejectedNotAllocated) {
   w.u32(0);
   w.u32(0xFFFFFFFFu);
   EXPECT_FALSE(decode(w.bytes()).has_value());
+}
+
+TEST(FleetRemoteWire, RejectsNonFiniteOutcomeTimes) {
+  // A NaN time_to_failure is neither detected nor timed out, yet the
+  // aggregator would count it as a timeout: the decoder must refuse it.
+  LeaseResultMsg result;
+  result.lease_id = 1;
+  result.outcome.status = TrialStatus::kCompleted;
+  result.outcome.sim_seconds = 1.0;
+  ASSERT_TRUE(decode(encode(Message{result})).has_value());
+
+  LeaseResultMsg nan_sim = result;
+  nan_sim.outcome.sim_seconds = std::nan("");
+  EXPECT_FALSE(decode(encode(Message{nan_sim})).has_value());
+  LeaseResultMsg inf_ttf = result;
+  inf_ttf.outcome.time_to_failure = INFINITY;
+  EXPECT_FALSE(decode(encode(Message{inf_ttf})).has_value());
 }
 
 TEST(FleetRemoteWire, FrameReaderReassemblesByteByByte) {
@@ -347,22 +369,91 @@ TEST(FleetRemoteCheckpoint, RejectsMalformedText) {
   EXPECT_FALSE(FleetCheckpoint::from_string(truncated).has_value());
 }
 
+TEST(FleetRemoteCheckpoint, RejectsNonFiniteOutcomeTimes) {
+  FleetCheckpoint nan_sim = sample_checkpoint();
+  nan_sim.completed[0].second.sim_seconds = std::nan("");
+  EXPECT_FALSE(FleetCheckpoint::from_string(nan_sim.to_string()).has_value());
+  FleetCheckpoint inf_ttf = sample_checkpoint();
+  inf_ttf.completed[0].second.time_to_failure = INFINITY;
+  EXPECT_FALSE(FleetCheckpoint::from_string(inf_ttf.to_string()).has_value());
+}
+
+TEST(FleetRemoteCheckpoint, RejectsNumbersItWouldNotWrite) {
+  // Each of these used to load, wrapping or normalising the number, and was
+  // then written back as different text (-1 as 18446744073709551615).
+  const std::string good = sample_checkpoint().to_string();
+  const auto with = [&good](std::string_view from, std::string_view to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  EXPECT_FALSE(FleetCheckpoint::from_string(with("fingerprint 4277009102", "fingerprint -1")));
+  EXPECT_FALSE(FleetCheckpoint::from_string(with("trial 2 0 4 55 0 ", "trial 2 0 4 -3 0 ")));
+  EXPECT_FALSE(FleetCheckpoint::from_string(with("trial 2 0 4 55 0 ", "trial 2 0 4 55 +4 ")));
+  EXPECT_FALSE(FleetCheckpoint::from_string(with("trials 8", "trials 08")));
+  EXPECT_FALSE(FleetCheckpoint::from_string(with("trial 2 0 4 ", "trial 2 0 260 ")));
+  EXPECT_FALSE(FleetCheckpoint::from_string(with("trial 2 0 4 ", "trial 2 258 4 ")));
+  EXPECT_FALSE(FleetCheckpoint::from_string(with("finding ", "finding 0x")));
+  EXPECT_FALSE(FleetCheckpoint::from_string(good + "trailing\n"));
+  // NaN sim_seconds spelled as its bit pattern.
+  const std::string nan_bits = std::to_string(std::bit_cast<std::uint64_t>(std::nan("")));
+  const std::string sim_bits = std::to_string(std::bit_cast<std::uint64_t>(2.5));
+  EXPECT_FALSE(FleetCheckpoint::from_string(with(sim_bits, nan_bits)));
+}
+
 TEST(FleetRemoteCheckpoint, RejectsLeasedOverlappingCompleted) {
   FleetCheckpoint checkpoint = sample_checkpoint();
   checkpoint.leased = {2, 6};  // trial 2 is also recorded completed
   EXPECT_FALSE(FleetCheckpoint::from_string(checkpoint.to_string()).has_value());
 }
 
-TEST(FleetRemoteCheckpoint, SaveIsAtomicAndLoadRestores) {
+/// Saves `first` then `second` to one path with `save`, and checks that the
+/// second save replaced the file whole (no ".tmp" left) and loads back.
+template <typename T, typename Save, typename Load, typename Key>
+void expect_atomic_overwrite(const std::string& name, const T& first, const T& second,
+                             Save save, Load load, Key key) {
   const std::string path =
-      testing::TempDir() + "fleet_ck_" + std::to_string(::getpid()) + ".txt";
-  const FleetCheckpoint original = sample_checkpoint();
-  ASSERT_TRUE(original.save(path));
-  const std::optional<FleetCheckpoint> loaded = FleetCheckpoint::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->to_string(), original.to_string());
-  EXPECT_FALSE(FleetCheckpoint::load(path + ".missing").has_value());
+      testing::TempDir() + name + "_" + std::to_string(::getpid()) + ".ckpt";
+  ASSERT_TRUE(save(first, path)) << name;
+  ASSERT_TRUE(save(second, path)) << name;
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << name << " left its temp file";
+  const auto loaded = load(path);
+  ASSERT_TRUE(loaded.has_value()) << name;
+  EXPECT_EQ(key(*loaded), key(second)) << name;
+  EXPECT_NE(key(*loaded), key(first)) << name;
+  EXPECT_FALSE(load(path + ".missing").has_value()) << name;
   std::remove(path.c_str());
+}
+
+TEST(FleetRemoteCheckpoint, SaveIsAtomicAndLoadRestores) {
+  FleetCheckpoint fleet_next = sample_checkpoint();
+  fleet_next.leased = {3};
+  expect_atomic_overwrite(
+      "fleet_ck", sample_checkpoint(), fleet_next,
+      [](const FleetCheckpoint& c, const std::string& p) { return c.save(p); },
+      FleetCheckpoint::load, [](const FleetCheckpoint& c) { return c.to_string(); });
+
+  // The campaign checkpoint and the feedback corpus save the same way.
+  fuzzer::CampaignCheckpoint campaign;
+  campaign.generator_name = "random";
+  campaign.generator_state = {1, 2, 3, 4};
+  fuzzer::CampaignCheckpoint campaign_next = campaign;
+  campaign_next.frames_sent = 99;
+  expect_atomic_overwrite(
+      "campaign_ck", campaign, campaign_next,
+      [](const fuzzer::CampaignCheckpoint& c, const std::string& p) { return c.save(p); },
+      fuzzer::CampaignCheckpoint::load,
+      [](const fuzzer::CampaignCheckpoint& c) { return c.to_string(); });
+
+  feedback::Corpus corpus;
+  corpus.add({{*can::CanFrame::data(0x215, std::vector<std::uint8_t>{1, 2})}, {7}, true, 3, 4});
+  feedback::Corpus corpus_next = corpus;
+  corpus_next.add({{*can::CanFrame::data(0x216, std::vector<std::uint8_t>{})}, {8}, false, 5, 6});
+  expect_atomic_overwrite(
+      "corpus", corpus, corpus_next,
+      [](const feedback::Corpus& c, const std::string& p) { return c.save(p); },
+      feedback::Corpus::load, [](const feedback::Corpus& c) { return c.encode(); });
 }
 
 // ----------------------------------------------------------- reconnect ----

@@ -5,6 +5,10 @@
 // ASan/UBSan and TSan, where "no invariant failures" also means "no UB".
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
+
 #include "selftest/harness.hpp"
 #include "selftest/targets.hpp"
 
@@ -13,6 +17,9 @@ namespace {
 
 #ifndef ACF_CORPUS_DIR
 #define ACF_CORPUS_DIR ""
+#endif
+#ifndef ACF_LIBFUZZER_TARGETS
+#define ACF_LIBFUZZER_TARGETS ""
 #endif
 
 class FuzzSmoke : public ::testing::TestWithParam<std::string> {};
@@ -83,6 +90,22 @@ TEST(FuzzHarness, FailingInputIsReportedWithOrdinal) {
   EXPECT_EQ(result.failures[0].ordinal, 0u);
   EXPECT_EQ(result.failures[0].message, "tripped");
   EXPECT_EQ(result.failures[0].input, corpus[0]);
+}
+
+// fuzz/CMakeLists.txt keeps its own list of libFuzzer binaries; it must
+// name exactly the registered targets.
+TEST(FuzzHarness, LibFuzzerListMatchesRegistry) {
+  std::set<std::string> listed;
+  std::istringstream names(ACF_LIBFUZZER_TARGETS);
+  for (std::string name; names >> name;) listed.insert(name);
+  std::set<std::string> registered;
+  for (const FuzzTarget& target : all_targets()) registered.insert(target.name);
+  for (const std::string& name : registered) {
+    EXPECT_TRUE(listed.count(name)) << name << " is registered but missing from ACF_FUZZ_TARGETS";
+  }
+  for (const std::string& name : listed) {
+    EXPECT_TRUE(registered.count(name)) << name << " is in ACF_FUZZ_TARGETS but not registered";
+  }
 }
 
 TEST(FuzzHarness, EveryTargetHasUniqueName) {

@@ -305,6 +305,17 @@ TEST(MetricsSnapshot, StrictParserRejectsHostileLines) {
   EXPECT_FALSE(parse_snapshot_line(non_finite).has_value());
 }
 
+TEST(MetricsSnapshot, IntegersMustBeCanonical) {
+  const std::string good = encode_snapshot_line(sample_line());
+  const std::size_t seq = good.find("\"seq\":3");
+  ASSERT_NE(seq, std::string::npos);
+  for (const char* bad : {"\"seq\":03", "\"seq\":-3", "\"seq\":3.0", "\"seq\":18446744073709551616"}) {
+    std::string text = good;
+    text.replace(seq, 7, bad);
+    EXPECT_FALSE(parse_snapshot_line(text).has_value()) << bad;
+  }
+}
+
 TEST(MetricsSnapshot, WriterStampsMonotonicSequenceNumbers) {
   Registry registry;
   registry.counter("n").add(1);

@@ -609,6 +609,38 @@ TEST(CheckpointTest, HostileGeneratorNamesRoundTrip) {
   }
 }
 
+TEST(CheckpointTest, RejectsTextItWouldNotWrite) {
+  // Each of these used to load and was then written back as different text:
+  // -3 wrapped to 18446744073709551613, +4 lost its sign, and an unknown
+  // frame kind / id format read as "D S".
+  const std::string minimal =
+      "ACF-CHECKPOINT 2\nframes_sent 0\nsend_failures 0\nelapsed_ns 0\n"
+      "generator counter\nstate 4 1 2 3 4\nfindings 0\nwindow 0\nend\n";
+  ASSERT_TRUE(fuzzer::CampaignCheckpoint::from_string(minimal).has_value());
+  const auto with = [&minimal](std::string_view from, std::string_view to) {
+    std::string text = minimal;
+    return text.replace(text.find(from), from.size(), to);
+  };
+  for (const std::string& bad : {
+           with("frames_sent 0", "frames_sent -3"),
+           with("send_failures 0", "send_failures +4"),
+           with("window 0", "window 1\nframe 5 Z Q 16 -"),
+           with("window 0", "window 1\nframe 5 D Q 16 -"),
+           with("window 0", "window 1\nframe 5 D S 16 0a"),
+           with("window 0", "window 1\nframe 5 F S 16 2 00"),
+           with("window 0", "window 1\nframe 05 D S 16 -"),
+           with("state 4 1", "state 04 1"),
+           with("elapsed_ns 0", "elapsed_ns -0"),
+           with("generator counter", "generator c%6Funter"),
+           minimal + "end\n",
+       }) {
+    EXPECT_FALSE(fuzzer::CampaignCheckpoint::from_string(bad).has_value()) << bad;
+  }
+  EXPECT_TRUE(fuzzer::CampaignCheckpoint::from_string(
+                  with("window 0", "window 1\nframe -5 F E 16 1 00"))
+                  .has_value());
+}
+
 TEST(CheckpointTest, RejectsAbsurdDeclaredCounts) {
   // Regression: deserialize used to reserve() whatever counts the stream
   // declared, so a one-line hostile file could demand a multi-gigabyte

@@ -245,6 +245,15 @@ TEST(AscLog, MalformedLinesRejected) {
   EXPECT_FALSE(trace::parse_asc_line("0.1 1 43A Qx d 1 00").has_value());   // bad dir
 }
 
+TEST(AscLog, ChannelAndDlcMustBeCanonicalDecimals) {
+  ASSERT_TRUE(trace::parse_asc_line("0.1 1 43A Rx d 1 00").has_value());
+  EXPECT_FALSE(trace::parse_asc_line("0.1 +1 43A Rx d 1 00").has_value());
+  EXPECT_FALSE(trace::parse_asc_line("0.1 01 43A Rx d 1 00").has_value());
+  EXPECT_FALSE(trace::parse_asc_line("0.1 99999999999 43A Rx d 1 00").has_value());
+  EXPECT_FALSE(trace::parse_asc_line("0.1 1 43A Rx d 01 00").has_value());
+  EXPECT_FALSE(trace::parse_asc_line("0.1 1 43A Rx d -1 00").has_value());
+}
+
 TEST(AscLog, HostileTimestampsRejectedNotMisread) {
   // Regression: the stamp was read as a double and cast to int64 nanoseconds,
   // so "inf" / 1e308 / 20-digit seconds invoked UB instead of failing.

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <unistd.h>
 #include <vector>
 
+#include "util/codec.hpp"
 #include "util/fnv.hpp"
-#include "util/hex.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -452,6 +455,131 @@ TEST(RingBuffer, ZeroCapacityClampsToOne) {
   ring.push(2);
   EXPECT_EQ(ring.newest(), 2);
   EXPECT_EQ(ring.size(), 1u);
+}
+
+// --------------------------------------------------------------- codec ----
+
+TEST(Codec, U64AcceptsOnlyTheToCharsForm) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("439"), 439u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~std::uint64_t{0});
+  for (const std::string_view bad :
+       {"", "-1", "-3", "+4", "01", "00", "-0", "18446744073709551616", " 1", "1 ", "1a",
+        "0x10"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Codec, I64AcceptsOnlyTheToCharsForm) {
+  EXPECT_EQ(parse_i64("0"), 0);
+  EXPECT_EQ(parse_i64("-7"), -7);
+  EXPECT_EQ(parse_i64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(parse_i64("-9223372036854775808"), INT64_MIN);
+  for (const std::string_view bad :
+       {"", "-", "-0", "-01", "+1", "007", "9223372036854775808", "-9223372036854775809",
+        "1.0"}) {
+    EXPECT_FALSE(parse_i64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Codec, DoublesMustBeFiniteAndWhole) {
+  EXPECT_EQ(parse_finite_double("0.25"), 0.25);
+  EXPECT_EQ(parse_finite_double("-1e5"), -1e5);
+  // %.17g writes subnormals; they must read back.
+  EXPECT_EQ(parse_finite_double("4.9406564584124654e-324"), 4.9406564584124654e-324);
+  const std::optional<double> negative_zero = parse_finite_double("-0");
+  ASSERT_TRUE(negative_zero.has_value());
+  EXPECT_TRUE(std::signbit(*negative_zero));
+  for (const std::string_view bad :
+       {"", "nan", "-nan", "inf", "-inf", "infinity", "1e400", "1e-400", "+1", "0x1p3",
+        "1.5x", " 1"}) {
+    EXPECT_FALSE(parse_finite_double(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Codec, HexOrDashReadsExactlyWhatItWrites) {
+  const std::vector<std::uint8_t> bytes = {0x0A, 0xFF, 0x00};
+  EXPECT_EQ(hex_or_dash(bytes), "0AFF00");
+  EXPECT_EQ(hex_or_dash(std::span<const std::uint8_t>{}), "-");
+  EXPECT_EQ(hex_or_dash(std::string_view("Hi")), "4869");
+  EXPECT_EQ(read_hex_or_dash("0AFF00"), std::string("\x0A\xFF\x00", 3));
+  EXPECT_EQ(read_hex_or_dash("-"), std::string());
+  for (const std::string_view bad : {"", "0aff00", "0AF", "0x0A", "--", "0A-"}) {
+    EXPECT_FALSE(read_hex_or_dash(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Codec, NextTokenSplitsOnAnyWhitespaceRun) {
+  std::string_view text = "  alpha\tbeta\r\n gamma  ";
+  EXPECT_EQ(next_token(text), "alpha");
+  EXPECT_EQ(next_token(text), "beta");
+  EXPECT_EQ(next_token(text), "gamma");
+  EXPECT_EQ(next_token(text), "");
+  EXPECT_EQ(next_token(text), "");
+}
+
+TEST(Codec, TokenReaderFailsStickily) {
+  TokenReader in("count 12 next -3 tail");
+  EXPECT_EQ(in.u64("count"), 12u);
+  EXPECT_EQ(in.u64("next"), 0u);  // "-3" is no u64
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(in.token(), "");  // later reads fail too
+  EXPECT_FALSE(in.done());
+
+  TokenReader whole("a -5 0A\n");
+  EXPECT_EQ(whole.token(), "a");
+  EXPECT_EQ(whole.i64(), -5);
+  EXPECT_EQ(whole.hex_or_dash(), "\n");
+  EXPECT_TRUE(whole.done());
+
+  TokenReader empty(" \n");
+  EXPECT_TRUE(empty.done());
+  EXPECT_EQ(empty.token(), "");  // end of input is a failed read
+  EXPECT_FALSE(empty.ok());
+}
+
+TEST(Codec, ByteReaderFailsClosedAndRoundTrips) {
+  ByteWriter out;
+  out.u8(0x01);
+  out.u16(0xBEEF);
+  out.u32(0xDEADBEEF);
+  out.i64(-2);
+  out.f64(0.5);
+  out.str("ab");
+  const std::vector<std::uint8_t> bytes = out.take();
+  EXPECT_EQ(bytes.size(), 1u + 2 + 4 + 8 + 8 + 4 + 2);
+  EXPECT_EQ(bytes[1], 0xEF);  // little-endian
+
+  ByteReader in(bytes);
+  EXPECT_EQ(in.u8(), 0x01);
+  EXPECT_EQ(in.u16(), 0xBEEF);
+  EXPECT_EQ(in.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(in.i64(), -2);
+  EXPECT_EQ(in.f64(), 0.5);
+  EXPECT_EQ(in.str(2), "ab");
+  EXPECT_TRUE(in.done());
+  EXPECT_EQ(in.u16(), 0);  // reading past the end latches failure
+  EXPECT_FALSE(in.ok());
+
+  ByteReader capped(bytes);
+  capped.u8();
+  capped.u16();
+  capped.u32();
+  capped.u64();
+  capped.f64();
+  EXPECT_EQ(capped.str(1), "");  // declared length past the cap
+  EXPECT_FALSE(capped.ok());
+}
+
+TEST(Codec, WriteFileAtomicReplacesAndLeavesNoTemp) {
+  const std::string path = testing::TempDir() + "codec_" + std::to_string(::getpid()) + ".bin";
+  ASSERT_TRUE(write_file_atomic(path, "first"));
+  ASSERT_TRUE(write_file_atomic(path, std::string_view("sec\0nd", 6)));
+  EXPECT_EQ(read_file(path), std::string("sec\0nd", 6));
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  EXPECT_FALSE(read_file(path + ".missing").has_value());
+  EXPECT_FALSE(write_file_atomic(testing::TempDir() + "no/such/dir/file", "x"));
+  std::remove(path.c_str());
 }
 
 }  // namespace
